@@ -16,6 +16,7 @@ from .config import (
     GeneratorSpec,
     generate,
     load_configuration,
+    parse_json,
     save_configuration,
 )
 from .depth import DepthResult, deepest_point, rainbow_depth_at
@@ -245,14 +246,14 @@ def _cmd_densify(args) -> int:
 
 
 def _cmd_separate(args) -> int:
+    data = parse_json(_read(args.input), "trim-state JSON")
     try:
-        data = json.loads(_read(args.input))
         o_point = point([rational(c) for c in data["o"]])
         sets = [
             [point([rational(c) for c in p]) for p in pts]
             for pts in data["sets"]
         ]
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise InputError(f"bad trim-state JSON: {exc}") from exc
     q_sets, trace = trim_to_separated(sets, o_point, max_steps=args.max_steps)
     _emit(
@@ -332,7 +333,7 @@ def cli_main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         _error("input", exc)
         return EXIT_INPUT
     except (BudgetExceededError, GenerationError) as exc:

@@ -5,6 +5,10 @@ dimension d, with the whole union in general position.  Coordinates are
 exact rationals; the JSON format stores them as strings ("7", "1/3",
 "0.25") so that load(save(cfg)) round-trips bit for bit.
 
+Validation happens once, at construction: a `ColoredConfiguration` that
+exists is valid, so no consumer checks it again.  Construction also
+scales the union to integers once (see `ColoredConfiguration.scale`).
+
 Formats
 -------
 JSON:   {"dimension": d, "colors": [[["x", "y"], ...], ...]}
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import GenerationError, InputError, ParseError, ValidationError
@@ -23,6 +27,7 @@ from .geometry import (
     Point,
     format_rational,
     general_position_check,
+    integer_scaled,
     point,
     rational,
 )
@@ -32,8 +37,33 @@ DISTRIBUTIONS = ("uniform-box", "gaussian", "moment-curve-perturbed")
 
 @dataclass(frozen=True)
 class ColoredConfiguration:
+    """A valid colored configuration; the constructor raises
+    ValidationError otherwise.
+
+    The integer frame is derived data, excluded from comparison: the
+    union in class order scaled by `scale` (the lcm of all coordinate
+    denominators) to `int_points`, with the class of each point in
+    `point_colors`.  Class i occupies indices i*n .. i*n + n - 1.
+    """
+
     dimension: int
     colors: tuple[tuple[Point, ...], ...]
+    int_points: tuple[tuple[int, ...], ...] = field(
+        init=False, repr=False, compare=False
+    )
+    scale: int = field(init=False, repr=False, compare=False)
+    point_colors: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.validate()
+        int_points, scale = integer_scaled(self.all_points())
+        object.__setattr__(self, "int_points", tuple(int_points))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(
+            self,
+            "point_colors",
+            tuple(ci for ci, cls in enumerate(self.colors) for _ in cls),
+        )
 
     @property
     def n(self) -> int:
@@ -94,11 +124,10 @@ class ColoredConfiguration:
 
 
 def configuration(dimension: int, colors) -> ColoredConfiguration:
-    cfg = ColoredConfiguration(
+    return ColoredConfiguration(
         dimension=dimension,
         colors=tuple(tuple(point(p) for p in cls) for cls in colors),
     )
-    return cfg.validate()
 
 
 @dataclass(frozen=True)
@@ -155,9 +184,8 @@ def generate(spec: GeneratorSpec, max_attempts: int = 64) -> ColoredConfiguratio
                 cls.append(_sample_point(rng, spec, counter))
                 counter += 1
             colors.append(tuple(cls))
-        cfg = ColoredConfiguration(dimension=spec.d, colors=tuple(colors))
         try:
-            return cfg.validate()
+            return ColoredConfiguration(dimension=spec.d, colors=tuple(colors))
         except ValidationError:
             continue
     raise GenerationError(
@@ -176,7 +204,6 @@ def _to_json_dict(cfg: ColoredConfiguration) -> dict:
 
 
 def save_configuration(cfg: ColoredConfiguration, fmt: str = "json") -> bytes:
-    cfg.validate()
     if fmt == "json":
         text = json.dumps(_to_json_dict(cfg), sort_keys=True, separators=(",", ":"))
         return (text + "\n").encode()
@@ -199,18 +226,32 @@ def _coord(value) -> Fraction:
     return rational(value)
 
 
+def _decode_text(source) -> str:
+    """Text of a str, or of UTF-8 bytes; other bytes are a ParseError."""
+    if not isinstance(source, bytes):
+        return str(source)
+    try:
+        return source.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8: {exc}") from exc
+
+
+def parse_json(source, what: str = "JSON"):
+    """json.loads of `source` (str or UTF-8 bytes); every way the text
+    can fail to be JSON, nesting too deep included, is a ParseError."""
+    try:
+        return json.loads(_decode_text(source))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed {what}: {exc}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"malformed {what}: nested too deeply") from exc
+
+
 def load_configuration(source, fmt: str = "json") -> ColoredConfiguration:
-    if isinstance(source, bytes):
-        text = source.decode()
-    else:
-        text = str(source)
     if fmt == "json":
+        data = parse_json(source)
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"malformed JSON: {exc}") from exc
-        try:
-            dimension = int(data["dimension"])
+            dimension = data["dimension"]
             raw_colors = data["colors"]
             colors = tuple(
                 tuple(tuple(_coord(c) for c in p) for p in cls)
@@ -218,9 +259,11 @@ def load_configuration(source, fmt: str = "json") -> ColoredConfiguration:
             )
         except (KeyError, TypeError) as exc:
             raise ParseError(f"bad configuration structure: {exc}") from exc
+        if isinstance(dimension, bool) or not isinstance(dimension, int):
+            raise ParseError(f"dimension must be a JSON integer, got {dimension!r}")
     elif fmt == "plain":
         buckets: dict[int, list[Point]] = {}
-        for lineno, line in enumerate(text.splitlines(), 1):
+        for lineno, line in enumerate(_decode_text(source).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
@@ -243,5 +286,4 @@ def load_configuration(source, fmt: str = "json") -> ColoredConfiguration:
         colors = tuple(tuple(buckets[i]) for i in sorted(buckets))
     else:
         raise InputError(f"unknown format {fmt!r}")
-    cfg = ColoredConfiguration(dimension=dimension, colors=colors)
-    return cfg.validate()
+    return ColoredConfiguration(dimension=dimension, colors=colors)

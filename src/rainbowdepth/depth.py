@@ -32,7 +32,8 @@ from .errors import InputError, UnsupportedDimensionError
 from .geometry import (
     Point,
     integer_scaled,
-    orientation,
+    is_unambiguous,
+    pair_sign_table,
     point,
     point_in_simplex_interior,
 )
@@ -104,69 +105,28 @@ class DepthResult:
     candidates_examined: int
 
 
-def _color_offsets(cfg: ColoredConfiguration) -> list[int]:
-    offsets = []
-    total = 0
-    for cls in cfg.colors:
-        offsets.append(total)
-        total += len(cls)
-    return offsets
-
-
-def _pair_sign_table(
-    ipts: list[tuple[int, ...]], ip: tuple[int, ...], colors: list[int]
-):
-    """Signs of orient(p, q_i, q_j) for all pairs.
-
-    None when p lies on a line through two differently colored points:
-    those lines carry rainbow-triangle edges, so strict containment
-    would be ambiguous there.  Same-color collinearities are harmless
-    (no rainbow simplex has a same-color edge) and are recorded as 0.
-    """
-    m = len(ipts)
-    px, py = ip
-    dx = [q[0] - px for q in ipts]
-    dy = [q[1] - py for q in ipts]
-    table = [[0] * m for _ in range(m)]
-    for i in range(m):
-        dxi, dyi = dx[i], dy[i]
-        ti = table[i]
-        for j in range(i + 1, m):
-            v = dxi * dy[j] - dyi * dx[j]
-            if v == 0:
-                if colors[i] != colors[j]:
-                    return None
-                continue
-            s = 1 if v > 0 else -1
-            ti[j] = s
-            table[j][i] = -s
-    return table
-
-
 def _depth_plane(
     cfg: ColoredConfiguration, p: Point, collect: bool
 ) -> tuple[int, list[tuple[int, int, int]]] | None:
-    union = cfg.all_points()
-    colors = [ci for ci, cls in enumerate(cfg.colors) for _ in cls]
-    scaled, _ = integer_scaled(union + [point(p)])
-    ipts, ip = scaled[:-1], scaled[-1]
-    table = _pair_sign_table(ipts, ip, colors)
+    # p in the configuration's integer frame: p*scale = num/den.
+    scaled = [c * cfg.scale for c in p]
+    den = math.lcm(*(c.denominator for c in scaled))
+    num = [c.numerator * (den // c.denominator) for c in scaled]
+    table = pair_sign_table(cfg.int_points, cfg.point_colors, den, num)
     if table is None:
         return None
-    off = _color_offsets(cfg)
     n = cfg.n
     count = 0
     tuples: list[tuple[int, int, int]] = []
     for a in range(n):
-        ga = off[0] + a
-        row_a = table[ga]
+        row_a = table[a]
         for b in range(n):
-            gb = off[1] + b
+            gb = n + b
             s1 = row_a[gb]
             row_b = table[gb]
             for c in range(n):
-                gc = off[2] + c
-                if s1 == row_b[gc] == table[gc][ga]:
+                gc = 2 * n + c
+                if s1 == row_b[gc] == table[gc][a]:
                     count += 1
                     if collect:
                         tuples.append((a, b, c))
@@ -176,14 +136,9 @@ def _depth_plane(
 def _depth_general(
     cfg: ColoredConfiguration, p: Point, collect: bool
 ) -> tuple[int, list[tuple[int, ...]]] | None:
-    union = cfg.all_points()
-    colors = [ci for ci, cls in enumerate(cfg.colors) for _ in cls]
+    if not is_unambiguous(cfg.colors, p):
+        return None
     d = cfg.dimension
-    for combo in itertools.combinations(range(len(union)), d):
-        if len({colors[i] for i in combo}) < d:
-            continue  # includes a same-color pair: never a rainbow facet
-        if orientation([union[i] for i in combo] + [point(p)]) == 0:
-            return None
     count = 0
     tuples = []
     for idx in itertools.product(range(cfg.n), repeat=d + 1):
@@ -360,7 +315,6 @@ def deepest_point(
     Both are deterministic; ties break to the lexicographically smallest
     witness point.
     """
-    cfg.validate()
     if strategy == "exact-arrangement":
         if cfg.dimension != 2:
             raise UnsupportedDimensionError(

@@ -220,6 +220,68 @@ def integer_scaled(points: Iterable[Point]) -> tuple[list[tuple[int, ...]], int]
     return [tuple(int(c * scale) for c in p) for p in pts], scale
 
 
+def pair_sign_table(
+    ipts: Sequence[tuple[int, ...]],
+    colors: Sequence[int],
+    den: int,
+    num: Sequence[int],
+) -> list[list[Sign]] | None:
+    """Signs of orient(p, q_i, q_j) for all pairs of planar integer points.
+
+    p is num/den in the frame of `ipts` (den > 0), so each q - p is
+    compared as den*q - num, a positive multiple of it.  None when p lies
+    on a line through two points of different colors: those lines carry
+    rainbow-triangle edges, so strict containment would be ambiguous
+    there.  Same-color collinearities are harmless (no rainbow simplex
+    has a same-color edge) and are recorded as 0.
+    """
+    m = len(ipts)
+    px, py = num
+    dx = [den * q[0] - px for q in ipts]
+    dy = [den * q[1] - py for q in ipts]
+    table = [[0] * m for _ in range(m)]
+    for i in range(m):
+        dxi, dyi = dx[i], dy[i]
+        ti = table[i]
+        for j in range(i + 1, m):
+            v = dxi * dy[j] - dyi * dx[j]
+            if v == 0:
+                if colors[i] != colors[j]:
+                    return None
+                continue
+            s = 1 if v > 0 else -1
+            ti[j] = s
+            table[j][i] = -s
+    return table
+
+
+def is_unambiguous(classes: Sequence[Sequence[Point]], p: Point) -> bool:
+    """p lies on no hyperplane spanned by d points of pairwise distinct
+    classes.
+
+    Those hyperplanes carry the facets of the rainbow simplices (one
+    vertex per class), so exactly then does every rainbow simplex
+    contain p strictly or miss it, never touch it.  Hyperplanes through
+    two points of one class carry no rainbow facet and are allowed.  In
+    the plane this is `pair_sign_table` on integers.
+    """
+    p = point(p)
+    d = len(p)
+    union = [point(q) for cls in classes for q in cls]
+    colors = [ci for ci, cls in enumerate(classes) for _ in cls]
+    if any(len(q) != d for q in union):
+        raise InputError(f"point dimension does not match dimension {d}")
+    if d == 2:
+        scaled, _ = integer_scaled(union + [p])
+        return pair_sign_table(scaled[:-1], colors, 1, scaled[-1]) is not None
+    for combo in itertools.combinations(range(len(union)), d):
+        if len({colors[i] for i in combo}) < d:
+            continue  # includes a same-class pair: never a rainbow facet
+        if orientation([union[i] for i in combo] + [p]) == 0:
+            return False
+    return True
+
+
 def cross2i(ox: int, oy: int, ax: int, ay: int, bx: int, by: int) -> int:
     """Integer 2D orientation value of (o, a, b)."""
     return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)

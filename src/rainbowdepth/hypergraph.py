@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .config import parse_json
 from .errors import (
     BudgetExceededError,
     ExactComparisonError,
@@ -477,9 +478,8 @@ def hypergraph_to_json(h: PartiteHypergraph) -> bytes:
 
 
 def hypergraph_from_json(source) -> PartiteHypergraph:
-    text = source.decode() if isinstance(source, bytes) else str(source)
+    data = parse_json(source, "hypergraph JSON")
     try:
-        data = json.loads(text)
         return partite_hypergraph(data["part_sizes"], data["edges"])
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(f"bad hypergraph JSON: {exc}") from exc

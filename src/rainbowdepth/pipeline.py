@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import ColoredConfiguration, save_configuration
+from .config import ColoredConfiguration, parse_json, save_configuration
 from .depth import deepest_point, rainbow_depth_at, theoretical_constants
 from .errors import (
     BudgetExceededError,
@@ -34,7 +34,8 @@ from .errors import (
 from .geometry import (
     Point,
     format_rational,
-    orientation,
+    is_unambiguous,
+    orientation,  # noqa: F401  perfbench/test_perfbench.py reads pipeline.orientation
     point,
     point_in_simplex_interior,
     rational,
@@ -162,19 +163,11 @@ def verify_certificate(
                 raise InputError(
                     f"Q_{i} contains a point outside color class {i}"
                 )
-    # O must be unambiguous: off every hyperplane that can carry a
-    # rainbow facet, i.e. spanned by d points of pairwise distinct colors.
-    union = cfg.all_points()
-    colors = [ci for ci, cls in enumerate(cfg.colors) for _ in cls]
-    d = cfg.dimension
-    for combo in itertools.combinations(range(len(union)), d):
-        if len({colors[i] for i in combo}) < d:
-            continue
-        if orientation([union[i] for i in combo] + [o_point]) == 0:
-            raise InputError(
-                "O lies on a hyperplane spanned by differently colored "
-                "configuration points"
-            )
+    if not is_unambiguous(cfg.colors, o_point):
+        raise InputError(
+            "O lies on a hyperplane spanned by differently colored "
+            "configuration points"
+        )
     for choice in itertools.product(*[range(len(q)) for q in q_sets]):
         verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
         if not point_in_simplex_interior(o_point, verts):
@@ -241,7 +234,6 @@ def _extraction_candidates(
 
 
 def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBundle:
-    cfg.validate()
     d = cfg.dimension
     if d != 2:
         raise PipelineStageError(
@@ -346,11 +338,9 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
 
 
 def load_report(source) -> dict:
-    text = source.decode() if isinstance(source, bytes) else str(source)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"malformed report JSON: {exc}") from exc
+    data = parse_json(source, "report JSON")
+    if not isinstance(data, dict):
+        raise InputError("report JSON must be an object")
     if data.get("schema_version") != SCHEMA_VERSION:
         raise InputError(
             f"unsupported report schema_version {data.get('schema_version')!r}"

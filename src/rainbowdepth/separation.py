@@ -31,6 +31,7 @@ from .geometry import (
     Sign,
     convex_hull_2d,
     format_rational,
+    is_unambiguous,
     orientation,
     point,
 )
@@ -409,6 +410,8 @@ def trim_to_separated(
     the cut so the designated set keeps at least half of its points, and
     discards the split group's points above the line and the rest's
     points below.  O is on the anchored lines and is never discarded.
+    O must be unambiguous (`is_unambiguous`, the sets as classes): it
+    may be collinear with two points of one set, not of two sets.
 
     Errors (with the partial trace attached) when a set would empty,
     when a step makes no progress, or after max_steps.
@@ -419,12 +422,10 @@ def trim_to_separated(
     sets = [tuple(point(p) for p in pts) for pts in point_sets]
     if any(not pts for pts in sets):
         raise InputError("input sets must be nonempty")
-    union = [p for pts in sets for p in pts]
-    for u, v in itertools.combinations(union, 2):
-        if orientation([o_point, u, v]) == 0:
-            raise InputError(
-                "O is collinear with two input points (not in general position)"
-            )
+    if not is_unambiguous(sets, o_point):
+        raise InputError(
+            "O is collinear with two points of different input sets"
+        )
     current: list[list[int]] = [list(range(len(pts))) for pts in sets]
     steps: list[TrimStep] = []
 

@@ -6,6 +6,7 @@ Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -339,3 +340,49 @@ def test_criterion_10_determinism():
     for (seed, _, _, blob1), (_, _, _, blob2) in zip(pipeline_suite, second):
         assert blob1 == blob2, f"criterion 8 report differs on seed {seed}"
     report(10, "criteria 3 and 8 reproduce byte-identical reports", time.time() - t0, 900)
+
+
+# sha256 of the report blob of every acceptance seed (n=10, default
+# params).  A change that alters any report byte must say so and update
+# this table.
+PINNED_REPORT_SHA256 = {
+    0: "f43215718031fbb0a7d322b83e529a7d159e365c15723a5adc37353d33115b1f",
+    1: "0307a5bc2ad28a7c95711ff00d562489b7c3830d035646dc00bb0f7d4bc04c44",
+    2: "c5c206dd9a8226eec536735bb5bb285be93791bf92c8024863600eac41577ad7",
+    3: "87ed3c8b5d8721901f0993b0ee43faa6676f2927baf7f3b7a3b0c068b41e75ec",
+    4: "41598250632f5dd3a5034f764b67c22d88fcf2cd6bab41c04bd8e0be0dfd0d90",
+    5: "002fa2259dbf9c81b94dbfd497331da2c43de5bf38977a6b12e30fc7c18530e6",
+    6: "6ead1db9b02bc3f978e139bd188089eb8527b302d933c7c15899b22c80708f5f",
+    7: "e8d62be9f6426eaa5662644b72ef0231fb9a0f4f73a76268ca643aec4663ea25",
+    8: "73025437aebfa9b3cb7a6cecb25c9392e8607a65b8d5ab34c8a53ec55a77baf4",
+    9: "1e27a1c0fbc6913e237c9a45f2e09fa75830c6248aff03e5a57a54f9827b57b2",
+    10: "2aa1df64628145103db57f7f3ad3cdc40b7644cdd44e3d606df6cda34d4c001b",
+    11: "2fbafae40a368fbd95b1067f74d39b98eb8f58d1a69549786be90a2e427f435a",
+    12: "496e9d7076de7cc2b8409938ca8f9de34bb40a7707305c7e1b96e7e934066570",
+    13: "27563cb2b58b8123f6d3646d3b9501838dca7869d88ada858ac60eb4ed3193eb",
+    14: "1fd73df3d60214b43db0bf36e994c13fbdbc291fb00da0e8ade2c6b52442989b",
+    15: "c43f101a5fa597cc64a236436fc713efa9e15d5db2e2cf579d0fe08ecefc719e",
+    16: "1977d37ffa66976c37fd53c475a2fa8735c373541ec6b63f98ba269a478e7c4c",
+    17: "bd40b4eed53b94f96e9b558074c0ab3be717f917e1fdcbf9b60832edad2f1602",
+    18: "051adb185cc58f1c7dcd4c982e027c73ffe958d626dbdbfd8b3ee29fc0c7f556",
+    19: "5aefd0c57b153952668d245d965e48c4503e296c6525c27239627a1fda7c3df2",
+    20: "477f8935a3a650643c32f9c31639a36bb18d6ea33f972e7d83b3b258badfaae9",
+    21: "05d85dc811394b52f8e0f8e120ca79959b0eb3bb28a85de0e4b08a6c26e3b3b2",
+    22: "ba9817ffb03af4c674faf66a8995740deeff964d113a1a1c6f7fdf73c9b3fd39",
+    23: "6c03edd45a8039326ca23786385f022a5ad82aaf94d4e294273def9fb2d2b968",
+    24: "11a186e177b4ef802f42de2f2035a02a36d446bc6a8059af04b364b2ac6af008",
+    25: "86a7153c10321b0be44a94320d2f9b7647e36507557009a904f65c3bb446b026",
+    26: "9b5038fbfdf9f73f0ac663ebf8d2397e24cc4201224c6a56ad4e5d887c15cf63",
+    27: "d7f288819fc2f0d7873eb257b45b50029682ea7b6f2876987fb60526ab74b6bb",
+    28: "c7ccddcc69a572871fbc1dd761c0e22adacbb1e82f9b0207c2b2ce5049f7e8d4",
+    29: "ec7832cd81b7b6cbdf1406e5f411a420745820bc142a292671aa8cd55d1c8127",
+}
+
+
+def test_pinned_report_digests():
+    pipeline_suite = get_pipeline_suite()
+    digests = {
+        seed: hashlib.sha256(blob).hexdigest()
+        for seed, _, _, blob in pipeline_suite
+    }
+    assert digests == PINNED_REPORT_SHA256

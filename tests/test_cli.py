@@ -55,6 +55,40 @@ def test_missing_file_exit_2(capsys):
     assert run_cli("check", "--input", "/nonexistent/cfg.json") == EXIT_INPUT
 
 
+DEEP_JSON = b"[" * 100_000 + b"]" * 100_000
+
+
+@pytest.mark.parametrize(
+    "command, payload",
+    [
+        ("check", b'{"dimension":"abc","colors":[[["0","0"]],[["1","0"]],[["0","1"]]]}'),
+        ("check", b'{"dimension":2.9,"colors":[[["0","0"]],[["1","0"]],[["0","1"]]]}'),
+        ("check", b'{"dimension":true,"colors":[[["0"]],[["1"]]]}'),
+        ("check", b'{"dimension":2,"colors":[[["\xff","0"]]]}'),
+        ("check", DEEP_JSON),
+        ("check", None),  # a directory
+        ("separate", b'{"o":["\xff"]}'),
+        ("separate", DEEP_JSON),
+        ("densify", b"\x80"),
+    ],
+    ids=[
+        "dimension-string", "dimension-float", "dimension-bool",
+        "check-non-utf8", "check-deep-nesting", "check-directory",
+        "separate-non-utf8", "separate-deep-nesting", "densify-non-utf8",
+    ],
+)
+def test_unreadable_input_exit_2(tmp_path, capsys, command, payload):
+    path = tmp_path / "input"
+    if payload is None:
+        path.mkdir()
+    else:
+        path.write_bytes(payload)
+    assert run_cli(command, "--input", str(path)) == EXIT_INPUT
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert json.loads(err[0])["error"] == "input"
+
+
 def test_depth_command(cfg_path, capsys):
     assert run_cli("depth", "--input", str(cfg_path), "--seed", "1") == EXIT_OK
     out = json.loads(capsys.readouterr().out)

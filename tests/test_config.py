@@ -65,9 +65,10 @@ def test_general_position_violation_rejected():
 
 
 def test_empty_color_rejected_before_save():
-    cfg = ColoredConfiguration(dimension=2, colors=((), (), ()))
+    # Validation runs at construction: an invalid configuration cannot
+    # exist, so it can never reach save_configuration.
     with pytest.raises(ValidationError):
-        save_configuration(cfg)
+        ColoredConfiguration(dimension=2, colors=((), (), ()))
 
 
 def test_float_coordinates_rejected():

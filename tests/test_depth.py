@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rainbowdepth import (
     GeneratorSpec,
@@ -9,7 +12,9 @@ from rainbowdepth import (
     configuration,
     deepest_point,
     generate,
+    orientation,
     point,
+    point_in_simplex_interior,
     rainbow_depth_at,
     theoretical_constants,
 )
@@ -160,3 +165,64 @@ def test_depth_general_dimension():
     res = deepest_point(cfg, "candidate-sampling", seed=4, random_budget=50)
     assert res.depth >= 1
     assert rainbow_depth_at(cfg, res.witness).count == res.depth
+
+
+def brute_force_depth(cfg, p):
+    """Oracle: None when p is collinear with two differently colored
+    points, else the containing rainbow tuples, by exact orientations."""
+    union = [(ci, q) for ci, cls in enumerate(cfg.colors) for q in cls]
+    for (cu, u), (cv, v) in itertools.combinations(union, 2):
+        if cu != cv and orientation([u, v, p]) == 0:
+            return None
+    return tuple(
+        idx
+        for idx in itertools.product(range(cfg.n), repeat=3)
+        if point_in_simplex_interior(
+            p, [cfg.colors[i][idx[i]] for i in range(3)]
+        )
+    )
+
+
+# Affine weights with large denominators: candidates land in and around
+# the configuration, with denominators far beyond its own.
+weight = st.fractions(-2, 3, max_denominator=10**36)
+unit_weight = st.fractions(0, 1, max_denominator=10**36)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(2, 4),
+    distribution=st.sampled_from(
+        ["uniform-box", "gaussian", "moment-curve-perturbed"]
+    ),
+    kind=st.sampled_from(["free", "same-color", "cross-color"]),
+    data=st.data(),
+)
+def test_planar_depth_matches_brute_force(seed, n, distribution, kind, data):
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    index = st.integers(0, n - 1)
+    if kind == "free":
+        u, v, w = (cfg.colors[c][data.draw(index)] for c in range(3))
+        t, r = data.draw(unit_weight), data.draw(unit_weight)
+        p = tuple(a + t * (b - a) + r * (c - a) for a, b, c in zip(u, v, w))
+    else:
+        # p on the line through two points, of one color or of two
+        c1 = data.draw(st.integers(0, 2))
+        c2 = c1 if kind == "same-color" else (c1 + data.draw(st.integers(1, 2))) % 3
+        i, j = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
+        u, v = cfg.colors[c1][i], cfg.colors[c2][j]
+        t = data.draw(weight)
+        p = tuple(a + t * (b - a) for a, b in zip(u, v))
+    expected = brute_force_depth(cfg, p)
+    if kind == "same-color":
+        assume(expected is not None)  # p may also sit on a two-colored line
+    if kind == "cross-color":
+        assert expected is None
+    if expected is None:
+        with pytest.raises(InputError, match="spanned"):
+            rainbow_depth_at(cfg, p)
+    else:
+        got = rainbow_depth_at(cfg, p)
+        assert got.tuples == expected
+        assert got.count == len(expected)

@@ -116,6 +116,8 @@ def test_verify_certificate_validations():
         verify_certificate(cfg, point(1, 1), [[], [point(4, 0)], [point(0, 4)]])
     with pytest.raises(InputError):  # O on a spanned two-color line
         verify_certificate(cfg, point(2, 0), cfg.colors)
+    with pytest.raises(InputError):  # O of the wrong dimension
+        verify_certificate(cfg, point(1, 1, 1), cfg.colors)
 
 
 def test_verified_bundles_pass_independent_oracle():
@@ -184,3 +186,7 @@ def test_load_report_rejects_bad_schema():
         load_report(b'{"schema_version": 99}')
     with pytest.raises(InputError):
         load_report(b"not json")
+    with pytest.raises(InputError):
+        load_report(b"[1]")
+    with pytest.raises(InputError):
+        load_report(b'{"schema_version": 1, "O": ["\xff"]}')

@@ -299,3 +299,30 @@ def test_trim_rejects_collinear_o():
     sets = [[point(0, 0)], [point(2, 0)], [point(0, 2)]]
     with pytest.raises(InputError):
         trim_to_separated(sets, point(1, 0))  # collinear with two inputs
+
+
+def test_trim_accepts_o_collinear_with_one_set():
+    # O on the line through two points of one set, and on no line through
+    # points of two different sets: no rainbow triangle edge passes
+    # through O, so O is unambiguous and trimming proceeds.
+    cases = [
+        (
+            [[point(0, 0), point(-2, -2)], [point(10, 0)], [point(0, 10)]],
+            point(1, 1),
+        )
+    ]
+    for seed in range(3):
+        cfg = generate(GeneratorSpec(seed=seed, n=4, d=2))
+        o_point = deepest_point(cfg, seed=seed).witness
+        u = cfg.colors[0][0]
+        beyond = tuple(o + (o - c) / 3 for o, c in zip(o_point, u))
+        sets = [list(c) for c in cfg.colors]
+        sets[0].append(beyond)
+        cases.append((sets, o_point))
+    steps = 0
+    for sets, o_point in cases:
+        q, trace = trim_to_separated(sets, o_point)
+        assert is_separated_family([[o_point]] + [list(s) for s in q]) is None
+        assert all(set(qi) <= set(si) for qi, si in zip(q, sets))
+        steps += trace.step_count
+    assert steps > 0  # the generated cases exercise the cutting loop
