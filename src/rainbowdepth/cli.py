@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gen, check, depth, tverberg, densify, separate, run, verify.
-Exit codes: 0 success/verified, 1 verification failure, 2 input error,
-3 budget/gate error.  Errors are written to stderr as one-line JSON
+Exit codes: 0 success/verified, 1 verification failure or a broken
+internal contract, 2 input error, 3 budget/gate error or an undecided
+exact comparison.  Errors are written to stderr as one-line JSON
 objects so callers can parse them.
 """
 
@@ -22,6 +23,7 @@ from .config import (
 from .depth import DepthResult, deepest_point, rainbow_depth_at
 from .errors import (
     BudgetExceededError,
+    ExactComparisonError,
     GenerationError,
     InputError,
     PipelineStageError,
@@ -336,7 +338,7 @@ def cli_main(argv=None) -> int:
     except (InputError, OSError) as exc:
         _error("input", exc)
         return EXIT_INPUT
-    except (BudgetExceededError, GenerationError) as exc:
+    except (BudgetExceededError, GenerationError, ExactComparisonError) as exc:
         _error("budget", exc)
         return EXIT_BUDGET
     except TrimExhaustedError as exc:
@@ -344,6 +346,9 @@ def cli_main(argv=None) -> int:
         return EXIT_VERIFICATION
     except PipelineStageError as exc:
         _error(f"pipeline-{exc.stage}", exc)
+        return EXIT_VERIFICATION
+    except AssertionError as exc:  # a broken internal contract
+        _error("internal", exc)
         return EXIT_VERIFICATION
 
 

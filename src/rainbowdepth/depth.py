@@ -1,10 +1,24 @@
 """Rainbow simplicial depth: counting and maximization.
 
 The depth of a point p is the number of rainbow (one vertex per color)
-simplices strictly containing p.  `deepest_point` realizes, by search,
-the existence of a point contained in many rainbow simplices; the
-fractional-Helly machinery that proves existence in general is not
-needed at desk scale, where exhaustive evaluation is exact.
+simplices strictly containing p.  It is defined only where that is
+unambiguous: p lies on no hyperplane spanned by d points of pairwise
+distinct colors (in the plane, on no line through two differently
+colored points); same-color collinearity is allowed.
+
+In the plane, candidates are scored by an exact integer angular sweep:
+a rainbow triangle misses p exactly when one vertex v sees the other
+two inside the open half-turn counter-clockwise from v, so
+depth = n^3 - sum over v of c_j(v)*c_k(v), in O(N log N) for N = 3n
+points.  The containing tuples themselves, needed only at the final
+point, come from an n^3 scan of the pair sign table; the pipeline
+compares the two counts on every run.  In higher dimension every
+rainbow simplex is tested directly.
+
+`deepest_point` realizes, by search, the existence of a point
+contained in many rainbow simplices; the fractional-Helly machinery
+that proves existence in general is not needed at desk scale, where
+exhaustive evaluation is exact.
 
 Two strategies:
 
@@ -36,6 +50,7 @@ from .geometry import (
     pair_sign_table,
     point,
     point_in_simplex_interior,
+    primitive_direction,
 )
 
 DEFAULT_CENTROID_BUDGET = 20000
@@ -105,18 +120,23 @@ class DepthResult:
     candidates_examined: int
 
 
-def _depth_plane(
-    cfg: ColoredConfiguration, p: Point, collect: bool
-) -> tuple[int, list[tuple[int, int, int]]] | None:
-    # p in the configuration's integer frame: p*scale = num/den.
+def _frame(cfg: ColoredConfiguration, p: Point) -> tuple[int, list[int]]:
+    """p in the configuration's integer frame: p*scale = num/den, den > 0."""
     scaled = [c * cfg.scale for c in p]
     den = math.lcm(*(c.denominator for c in scaled))
-    num = [c.numerator * (den // c.denominator) for c in scaled]
+    return den, [c.numerator * (den // c.denominator) for c in scaled]
+
+
+def _depth_plane(
+    cfg: ColoredConfiguration, p: Point
+) -> list[tuple[int, int, int]] | None:
+    """The rainbow triangles strictly containing p, by an n^3 scan of the
+    pair sign table; None when p is ambiguous."""
+    den, num = _frame(cfg, p)
     table = pair_sign_table(cfg.int_points, cfg.point_colors, den, num)
     if table is None:
         return None
     n = cfg.n
-    count = 0
     tuples: list[tuple[int, int, int]] = []
     for a in range(n):
         row_a = table[a]
@@ -127,10 +147,84 @@ def _depth_plane(
             for c in range(n):
                 gc = 2 * n + c
                 if s1 == row_b[gc] == table[gc][a]:
-                    count += 1
-                    if collect:
-                        tuples.append((a, b, c))
-    return count, tuples
+                    tuples.append((a, b, c))
+    return tuples
+
+
+_OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
+
+
+def _depth_sweep(cfg: ColoredConfiguration, p: Point) -> int | None:
+    """Planar rainbow depth of p by an angular sweep, O(N log N).
+
+    A rainbow triangle misses p exactly when one vertex v sees the other
+    two inside the open half-turn counter-clockwise from v, and then
+    only one vertex does.  So depth = n^3 - sum over v of c_j(v)*c_k(v),
+    where c_j(v) counts the points of each other color j strictly inside
+    that half-turn.  None under the rule of `pair_sign_table`: p is a
+    configuration point, or two points of different colors lie on one
+    line through p (same ray or opposite rays).
+    """
+    den, (px, py) = _frame(cfg, p)
+    dx = [den * q[0] - px for q in cfg.int_points]
+    dy = [den * q[1] - py for q in cfg.int_points]
+    # Exact angular key: half-turn, then the cotangent -dx/dy, floored at
+    # resolution 1/k.  Distinct cotangents differ by at least
+    # 1/(|dy1|*|dy2|) >= 1/k, so the floors order them strictly and equal
+    # directions get equal keys.
+    k = max(map(abs, dy)) ** 2
+    items = []
+    for x, y, c in zip(dx, dy, cfg.point_colors):
+        if y > 0:
+            key = (1, (-x * k) // y)
+        elif y < 0:
+            key = (3, (-x * k) // y)
+        elif x > 0:
+            key = (0, 0)
+        elif x < 0:
+            key = (2, 0)
+        else:
+            return None  # p is a configuration point
+        items.append((key, x, y, c))
+    items.sort()
+    # One group per direction; a direction shared across colors means two
+    # differently colored points on one ray from p.
+    gkey, gx, gy, gc, gn = None, [], [], [], []
+    for key, x, y, c in items:
+        if key == gkey:
+            if c != gc[-1]:
+                return None
+            gn[-1] += 1
+            continue
+        gkey = key
+        gx.append(x)
+        gy.append(y)
+        gc.append(c)
+        gn.append(1)
+    m = len(gx)
+    # Sliding window: groups t+1 .. e-1 (cyclic) lie strictly inside the
+    # open half-turn counter-clockwise from group t; cnt counts them by color.
+    cnt = [0, 0, 0]
+    outside = 0
+    e = 1
+    for t in range(m):
+        vx, vy, c = gx[t], gy[t], gc[t]
+        e = max(e, t + 1)
+        while e < t + m:
+            w = e % m
+            cross = vx * gy[w] - vy * gx[w]
+            if cross <= 0:
+                if cross == 0 and gc[w] != c:
+                    return None  # opposite rays of two different colors
+                break
+            cnt[gc[w]] += gn[w]
+            e += 1
+        a, b = _OTHER_COLORS[c]
+        outside += gn[t] * cnt[a] * cnt[b]
+        if e > t + 1:
+            w = (t + 1) % m
+            cnt[gc[w]] -= gn[w]
+    return cfg.n**3 - outside
 
 
 def _depth_general(
@@ -163,31 +257,26 @@ def rainbow_depth_at(cfg: ColoredConfiguration, p: Point) -> RainbowDepth:
     p = point(p)
     if len(p) != cfg.dimension:
         raise InputError("point dimension does not match configuration")
-    fn = _depth_plane if cfg.dimension == 2 else _depth_general
-    result = fn(cfg, p, collect=True)
-    if result is None:
+    if cfg.dimension == 2:
+        tuples = _depth_plane(cfg, p)
+    else:
+        result = _depth_general(cfg, p, collect=True)
+        tuples = None if result is None else result[1]
+    if tuples is None:
         raise InputError(
             "point lies on a hyperplane spanned by configuration points"
         )
-    count, tuples = result
-    return RainbowDepth(count, tuple(tuples))
+    return RainbowDepth(len(tuples), tuple(tuples))
 
 
 def _depth_only(cfg: ColoredConfiguration, p: Point) -> int | None:
-    fn = _depth_plane if cfg.dimension == 2 else _depth_general
-    result = fn(cfg, p, collect=False)
+    if cfg.dimension == 2:
+        return _depth_sweep(cfg, p)
+    result = _depth_general(cfg, p, collect=False)
     return None if result is None else result[0]
 
 
 # --- exact arrangement sweep (d = 2) ---------------------------------------
-
-
-def _primitive(a: int, b: int) -> tuple[int, int]:
-    g = math.gcd(abs(a), abs(b))
-    a, b = a // g, b // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b = -a, -b
-    return a, b
 
 
 def _lines_through_pairs(ipts: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
@@ -245,7 +334,7 @@ def arrangement_cell_points(
         dirs = set()
         for li in incident:
             a, b, _ = lines[li]
-            d0 = _primitive(b, -a)
+            d0 = primitive_direction(b, -a)
             dirs.add(d0)
             dirs.add((-d0[0], -d0[1]))
         ordered = sorted(dirs, key=cmp_to_key(_angular_cmp))

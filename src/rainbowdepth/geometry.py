@@ -192,7 +192,9 @@ def general_position_check(points: Sequence[Point], d: int):
     """All (d+1)-tuples affinely independent.
 
     Returns None when fine, else the lexicographically first violating
-    index tuple.  Fewer than d+1 points is vacuously fine.
+    index tuple.  Fewer than d+1 points is vacuously fine.  In the plane
+    the check hashes integer directions, O(N^2) expected; otherwise it
+    tests every (d+1)-tuple.
     """
     pts = [point(p) for p in points]
     for p in pts:
@@ -200,9 +202,48 @@ def general_position_check(points: Sequence[Point], d: int):
             raise InputError(
                 f"point of dimension {len(p)} in a dimension-{d} check"
             )
+    if d == 2:
+        return _first_collinear_triple(integer_scaled(pts)[0])
     for combo in itertools.combinations(range(len(pts)), d + 1):
         if orientation([pts[i] for i in combo]) == 0:
             return combo
+    return None
+
+
+def primitive_direction(dx: int, dy: int) -> tuple[int, int]:
+    """(dx, dy) divided by its gcd, with the sign fixed so that a vector
+    and its negation map to the same direction; (0, 0) stays (0, 0)."""
+    g = math.gcd(dx, dy)
+    if g:
+        dx, dy = dx // g, dy // g
+    if dx < 0 or (dx == 0 and dy < 0):
+        dx, dy = -dx, -dy
+    return dx, dy
+
+
+def _first_collinear_triple(ipts: Sequence[tuple[int, int]]):
+    """Lexicographically first collinear (i, j, k), i < j < k, of planar
+    integer points, or None; O(N^2) expected time.
+
+    For each i, j and k are collinear with i exactly when the directions
+    from i to them agree up to sign, or when either coincides with i.
+    """
+    m = len(ipts)
+    for i in range(m - 2):
+        xi, yi = ipts[i]
+        first: dict[tuple[int, int], int] = {}
+        best = None
+        for j in range(i + 1, m):
+            direction = primitive_direction(ipts[j][0] - xi, ipts[j][1] - yi)
+            if direction == (0, 0):
+                # q_j = q_i: every pair containing j is collinear with i.
+                pair = (i + 1, i + 2) if j == i + 1 else (i + 1, j)
+                return (i,) + min(pair, best or pair)
+            earlier = first.setdefault(direction, j)
+            if earlier != j and (best is None or (earlier, j) < best):
+                best = (earlier, j)
+        if best is not None:
+            return (i,) + best
     return None
 
 

@@ -4,6 +4,14 @@ import sys
 
 import pytest
 
+from rainbowdepth import (
+    GeneratorSpec,
+    deepest_point,
+    generate,
+    hypergraph,
+    separation,
+    tverberg,
+)
 from rainbowdepth.cli import (
     EXIT_BUDGET,
     EXIT_INPUT,
@@ -11,6 +19,8 @@ from rainbowdepth.cli import (
     EXIT_VERIFICATION,
     cli_main,
 )
+from rainbowdepth.errors import ExactComparisonError
+from rainbowdepth.lp import LPResult
 
 
 def run_cli(*argv):
@@ -223,3 +233,74 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+
+def _one_json_error(capsys) -> dict:
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    return json.loads(err[0])
+
+
+@pytest.mark.parametrize("command", ["densify", "run"])
+def test_undecided_density_comparison_exit_3(
+    cfg_path, tmp_path, capsys, monkeypatch, command
+):
+    hg = tmp_path / "h.json"
+    report = tmp_path / "report.json"
+    run_cli("run", "--input", str(cfg_path), "--output", str(report), "--hypergraph-out", str(hg))
+    capsys.readouterr()
+
+    def undecided(self, other):
+        raise ExactComparisonError("comparison not decidable within bounds")
+
+    monkeypatch.setattr(hypergraph.DensityValue, "_compare", undecided)
+    source = hg if command == "densify" else cfg_path
+    assert run_cli(command, "--input", str(source), "--mode", "exact") == EXIT_BUDGET
+    assert _one_json_error(capsys)["error"] == "budget"
+
+
+def _separate_argv(tmp_path):
+    """Full n=6 classes around their sampled deepest point: trimming needs
+    the separation LP and at least one ham-sandwich cut."""
+    cfg = generate(GeneratorSpec(seed=0, n=6, d=2))
+    o_point = deepest_point(cfg, seed=0).witness
+    state = {
+        "o": [str(c) for c in o_point],
+        "sets": [[[str(c) for c in p] for p in cls] for cls in cfg.colors],
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    return ["separate", "--input", str(path)]
+
+
+def _tverberg_argv(tmp_path):
+    path = tmp_path / "cfg8.json"
+    run_cli("gen", "--seed", "0", "--n", "8", "--dim", "2", "--output", str(path))
+    return ["tverberg", "--input", str(path), "--k", "3"]
+
+
+def _lp_fails(*args):
+    return LPResult("unbounded", None, None)
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, fake, message",
+    [
+        (_separate_argv, separation, "solve_lp_max", _lp_fails, "separation LP"),
+        (_separate_argv, separation, "satisfies_bisection_contract",
+         lambda h, sets: False, "ham-sandwich"),
+        (_tverberg_argv, tverberg, "solve_lp_max", _lp_fails, "margin LP"),
+        (_tverberg_argv, tverberg, "common_interior_point",
+         lambda simplices: None, "prefilter"),
+    ],
+    ids=["separation-lp", "ham-sandwich", "margin-lp", "clip-prefilter"],
+)
+def test_broken_internal_contract_exit_1(
+    tmp_path, capsys, monkeypatch, argv, module, name, fake, message
+):
+    args = argv(tmp_path)
+    monkeypatch.setattr(module, name, fake)
+    assert run_cli(*args) == EXIT_VERIFICATION
+    err = _one_json_error(capsys)
+    assert err["error"] == "internal" and message in err["message"]

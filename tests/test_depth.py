@@ -18,7 +18,7 @@ from rainbowdepth import (
     rainbow_depth_at,
     theoretical_constants,
 )
-from rainbowdepth.depth import counting_inequality_diagnostic
+from rainbowdepth.depth import _depth_only, counting_inequality_diagnostic
 from rainbowdepth.geometry import affine_image
 
 
@@ -183,6 +183,22 @@ def brute_force_depth(cfg, p):
     )
 
 
+def assert_depth_matches_oracle(cfg, p):
+    """Both counters, the angular sweep that `deepest_point` scores
+    candidates with and the table scan of `rainbow_depth_at`, agree with
+    the brute-force oracle, ambiguity included."""
+    expected = brute_force_depth(cfg, p)
+    assert _depth_only(cfg, p) == (None if expected is None else len(expected))
+    if expected is None:
+        with pytest.raises(InputError, match="spanned"):
+            rainbow_depth_at(cfg, p)
+    else:
+        got = rainbow_depth_at(cfg, p)
+        assert got.tuples == expected
+        assert got.count == len(expected)
+    return expected
+
+
 # Affine weights with large denominators: candidates land in and around
 # the configuration, with denominators far beyond its own.
 weight = st.fractions(-2, 3, max_denominator=10**36)
@@ -192,7 +208,7 @@ unit_weight = st.fractions(0, 1, max_denominator=10**36)
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
-    n=st.integers(2, 4),
+    n=st.integers(2, 7),
     distribution=st.sampled_from(
         ["uniform-box", "gaussian", "moment-curve-perturbed"]
     ),
@@ -214,15 +230,18 @@ def test_planar_depth_matches_brute_force(seed, n, distribution, kind, data):
         u, v = cfg.colors[c1][i], cfg.colors[c2][j]
         t = data.draw(weight)
         p = tuple(a + t * (b - a) for a, b in zip(u, v))
-    expected = brute_force_depth(cfg, p)
     if kind == "same-color":
-        assume(expected is not None)  # p may also sit on a two-colored line
+        # p may also sit on a two-colored line
+        assume(brute_force_depth(cfg, p) is not None)
+    expected = assert_depth_matches_oracle(cfg, p)
     if kind == "cross-color":
         assert expected is None
-    if expected is None:
-        with pytest.raises(InputError, match="spanned"):
-            rainbow_depth_at(cfg, p)
-    else:
-        got = rainbow_depth_at(cfg, p)
-        assert got.tuples == expected
-        assert got.count == len(expected)
+
+
+def test_planar_depth_fixed_cases():
+    # hexagon center: each color sits on two opposite rays from p
+    assert len(assert_depth_matches_oracle(hexagon_config(), point(0, 0))) == 2
+    # a configuration point is a zero vector from itself: always ambiguous
+    cfg = generate(GeneratorSpec(seed=3, n=4, d=2))
+    for q in cfg.all_points():
+        assert assert_depth_matches_oracle(cfg, q) is None

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -87,6 +88,25 @@ def test_general_position_examples():
 def test_general_position_first_witness_is_lexicographic():
     pts = [point(0, 0), point(1, 0), point(5, 7), point(2, 0), point(3, 0)]
     assert general_position_check(pts, 2) == (0, 1, 3)
+
+
+# Small grids with half-integer coordinates: collinear triples (and
+# repeated points) are common, so the first witness is tested often.
+grid_coord = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(grid_coord, grid_coord), max_size=10))
+def test_planar_general_position_matches_orientation_oracle(pts):
+    expected = next(
+        (
+            combo
+            for combo in itertools.combinations(range(len(pts)), 3)
+            if orientation([pts[i] for i in combo]) == 0
+        ),
+        None,
+    )
+    assert general_position_check(pts, 2) == expected
 
 
 def test_rational_parsing():
