@@ -22,7 +22,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import GenerationError, InputError, ParseError, ValidationError
+from .errors import (
+    BudgetExceededError,
+    GenerationError,
+    InputError,
+    ParseError,
+    ValidationError,
+)
 from .geometry import (
     Point,
     format_rational,
@@ -238,13 +244,17 @@ def _decode_text(source) -> str:
 
 def parse_json(source, what: str = "JSON"):
     """json.loads of `source` (str or UTF-8 bytes); every way the text
-    can fail to be JSON, nesting too deep included, is a ParseError."""
+    can fail to be JSON, nesting too deep included, is a ParseError, and
+    an integer literal over Python's digit limit a BudgetExceededError."""
+    text = _decode_text(source)
     try:
-        return json.loads(_decode_text(source))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed {what}: {exc}") from exc
     except RecursionError as exc:
         raise ParseError(f"malformed {what}: nested too deeply") from exc
+    except ValueError as exc:  # an integer literal over Python's digit limit
+        raise BudgetExceededError(f"{what}: {exc}") from exc
 
 
 def load_configuration(source, fmt: str = "json") -> ColoredConfiguration:

@@ -22,11 +22,13 @@ exhaustive evaluation is exact.
 
 Two strategies:
 
-* exact-arrangement (d = 2 only): the depth function is piecewise
-  constant on the arrangement of all lines through configuration point
-  pairs.  Every positive-depth cell is bounded, hence touches a vertex
-  of the arrangement, so evaluating one interior point in every angular
-  sector around every vertex provably covers the maximum.
+* exact-arrangement (d = 2 only): depth changes only across rainbow
+  triangle edges, so it is constant on the cells of the arrangement of
+  lines through differently colored point pairs.  Every positive-depth
+  cell lies in a triangle, so it is bounded and has a vertex of the
+  arrangement; one interior point in every angular sector around every
+  vertex therefore covers the maximum.  The point is a closed-form step
+  from the vertex, short enough to cross no line (see `_cell_points`).
 * candidate-sampling (any d): best among rainbow-tuple centroids plus
   seeded random rational points; a heuristic with no optimality claim.
 """
@@ -38,14 +40,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .config import ColoredConfiguration
 from .errors import InputError, UnsupportedDimensionError
 from .geometry import (
     Point,
-    integer_scaled,
     is_unambiguous,
     pair_sign_table,
     point,
@@ -154,6 +154,21 @@ def _depth_plane(
 _OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
 
 
+def _angle_keys(vectors, k: int) -> list[tuple[int, int]]:
+    """Exact counter-clockwise sort keys of nonzero integer vectors from
+    the positive x-axis: half-turn, then the cotangent -x/y floored at
+    resolution 1/k.  Distinct cotangents differ by at least
+    1/(|y1|*|y2|), so with k >= |y1|*|y2| the floors order them strictly
+    and equal directions get equal keys."""
+    return [
+        (1, (-x * k) // y) if y > 0
+        else (3, (-x * k) // y) if y < 0
+        else (0, 0) if x > 0
+        else (2, 0)
+        for x, y in vectors
+    ]
+
+
 def _depth_sweep(cfg: ColoredConfiguration, p: Point) -> int | None:
     """Planar rainbow depth of p by an angular sweep, O(N log N).
 
@@ -168,25 +183,10 @@ def _depth_sweep(cfg: ColoredConfiguration, p: Point) -> int | None:
     den, (px, py) = _frame(cfg, p)
     dx = [den * q[0] - px for q in cfg.int_points]
     dy = [den * q[1] - py for q in cfg.int_points]
-    # Exact angular key: half-turn, then the cotangent -dx/dy, floored at
-    # resolution 1/k.  Distinct cotangents differ by at least
-    # 1/(|dy1|*|dy2|) >= 1/k, so the floors order them strictly and equal
-    # directions get equal keys.
-    k = max(map(abs, dy)) ** 2
-    items = []
-    for x, y, c in zip(dx, dy, cfg.point_colors):
-        if y > 0:
-            key = (1, (-x * k) // y)
-        elif y < 0:
-            key = (3, (-x * k) // y)
-        elif x > 0:
-            key = (0, 0)
-        elif x < 0:
-            key = (2, 0)
-        else:
-            return None  # p is a configuration point
-        items.append((key, x, y, c))
-    items.sort()
+    if (0, 0) in zip(dx, dy):
+        return None  # p is a configuration point
+    keys = _angle_keys(zip(dx, dy), max(map(abs, dy)) ** 2)
+    items = sorted(zip(keys, dx, dy, cfg.point_colors))
     # One group per direction; a direction shared across colors means two
     # differently colored points on one ray from p.
     gkey, gx, gy, gc, gn = None, [], [], [], []
@@ -251,8 +251,8 @@ def rainbow_depth_at(cfg: ColoredConfiguration, p: Point) -> RainbowDepth:
     of pairwise distinct colors: those hyperplanes carry rainbow-simplex
     facets, so strict containment would be ambiguous at p.  (Same-color
     collinearities cannot touch a rainbow facet and are allowed; the
-    arrangement-based deepest_point still returns witnesses off every
-    spanned hyperplane.)
+    arrangement-based deepest_point returns witnesses off every
+    bichromatic line.)
     """
     p = point(p)
     if len(p) != cfg.dimension:
@@ -279,83 +279,46 @@ def _depth_only(cfg: ColoredConfiguration, p: Point) -> int | None:
 # --- exact arrangement sweep (d = 2) ---------------------------------------
 
 
-def _lines_through_pairs(ipts: list[tuple[int, int]]) -> list[tuple[int, int, int]]:
-    lines = set()
-    for (x1, y1), (x2, y2) in itertools.combinations(ipts, 2):
-        a, b = y2 - y1, x1 - x2
-        if a == 0 and b == 0:
-            continue  # coincident points are rejected upstream
-        g = math.gcd(math.gcd(abs(a), abs(b)), abs(a * x1 + b * y1))
-        if g == 0:
-            g = 1
-        c = (a * x1 + b * y1) // g
-        a, b = a // g, b // g
-        if a < 0 or (a == 0 and b < 0):
-            a, b, c = -a, -b, -c
-        lines.add((a, b, c))
-    return sorted(lines)
+def _cell_points(cfg: ColoredConfiguration) -> Iterator[Point]:
+    """One interior point of every cell around every vertex of the
+    arrangement of lines through differently colored point pairs.
 
-
-def _angular_cmp(u: tuple[int, int], w: tuple[int, int]) -> int:
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    hu, hw = half(u), half(w)
-    if hu != hw:
-        return -1 if hu < hw else 1
-    cross = u[0] * w[1] - u[1] * w[0]
-    return 0 if cross == 0 else (-1 if cross > 0 else 1)
-
-
-def arrangement_cell_points(
-    points: Sequence[Point],
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """One interior rational point for every cell adjacent to every vertex
-    of the arrangement of lines through input point pairs.
-
-    Covers every bounded cell (each has a vertex on its boundary); the
-    emitted points avoid all arrangement lines exactly.
+    Each point lies in the open sector between two angularly adjacent
+    line directions at a vertex v, at v + t*s with s = u + w their sum
+    and t = 1/(2*L*A*(|sx|+|sy|)), in the integer frame: L is the lcm of
+    the denominators of v, A the largest |a| or |b| over all lines
+    a*x + b*y = c.  A line missing v has a nonzero residual
+    c - a*vx - b*vy, a multiple of 1/L, so the ray v + t*s meets it no
+    sooner than at twice that t; adjacent directions are less than a
+    half-turn apart, so s is nonzero and no line through v separates
+    the point from its sector.
     """
-    ipts, scale = integer_scaled(points)
-    lines = _lines_through_pairs(ipts)
-    # Vertices: pairwise line intersections, grouped with incident lines.
-    vertices: dict[tuple[Fraction, Fraction], set[int]] = {}
-    for i, j in itertools.combinations(range(len(lines)), 2):
-        a1, b1, c1 = lines[i]
-        a2, b2, c2 = lines[j]
+    pts, colors = cfg.int_points, cfg.point_colors
+    lines = set()
+    for i, j in itertools.combinations(range(len(pts)), 2):
+        if colors[i] != colors[j]:
+            (x1, y1), (x2, y2) = pts[i], pts[j]
+            a, b = primitive_direction(y2 - y1, x1 - x2)
+            lines.add((a, b, a * x1 + b * y1))
+    big = max(max(abs(a), abs(b)) for a, b, _ in lines)
+    # Vertices: pairwise line intersections, with the ± directions of
+    # the lines through them.
+    vertices: dict[tuple[Fraction, Fraction], set[tuple[int, int]]] = {}
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
         det = a1 * b2 - a2 * b1
-        if det == 0:
-            continue
-        x = Fraction(c1 * b2 - c2 * b1, det)
-        y = Fraction(a1 * c2 - a2 * c1, det)
-        vertices.setdefault((x, y), set()).update((i, j))
-    for v in sorted(vertices):
-        incident = vertices[v]
-        dirs = set()
-        for li in incident:
-            a, b, _ = lines[li]
-            d0 = primitive_direction(b, -a)
-            dirs.add(d0)
-            dirs.add((-d0[0], -d0[1]))
-        ordered = sorted(dirs, key=cmp_to_key(_angular_cmp))
-        vx, vy = v
+        if det:
+            v = (Fraction(c1 * b2 - c2 * b1, det), Fraction(a1 * c2 - a2 * c1, det))
+            vertices.setdefault(v, set()).update(
+                ((b1, -a1), (-b1, a1), (b2, -a2), (-b2, a2))
+            )
+    for (vx, vy), dirs in vertices.items():
+        ordered = [u for _, u in sorted(zip(_angle_keys(dirs, big * big), dirs))]
+        step = 2 * math.lcm(vx.denominator, vy.denominator) * big
         for u, w in zip(ordered, ordered[1:] + ordered[:1]):
             sx, sy = u[0] + w[0], u[1] + w[1]
-            if sx == 0 and sy == 0:
-                continue
-            t_min = None
-            for li, (a, b, c) in enumerate(lines):
-                if li in incident:
-                    continue
-                denom = a * sx + b * sy
-                if denom == 0:
-                    continue
-                t = Fraction(c - a * vx - b * vy, denom)
-                if t > 0 and (t_min is None or t < t_min):
-                    t_min = t
-            step = Fraction(1) if t_min is None else t_min / 2
+            t = Fraction(1, step * (abs(sx) + abs(sy)))
             # back to the original frame: the lattice was scaled up by `scale`
-            yield ((vx + step * sx) / scale, (vy + step * sy) / scale)
+            yield ((vx + t * sx) / cfg.scale, (vy + t * sy) / cfg.scale)
 
 
 def _sampling_candidates(
@@ -399,8 +362,9 @@ def deepest_point(
 ) -> DepthResult:
     """Search for a point of maximum rainbow depth.
 
-    exact-arrangement evaluates every cell of the line arrangement and
-    is exact (d = 2 only); candidate-sampling is a bounded heuristic.
+    exact-arrangement evaluates one point in every cell around every
+    vertex of the bichromatic line arrangement and is exact (d = 2
+    only); candidate-sampling is a bounded heuristic.
     Both are deterministic; ties break to the lexicographically smallest
     witness point.
     """
@@ -409,7 +373,7 @@ def deepest_point(
             raise UnsupportedDimensionError(
                 "exact-arrangement strategy requires dimension 2"
             )
-        candidates: Iterator[Point] = arrangement_cell_points(cfg.all_points())
+        candidates: Iterator[Point] = _cell_points(cfg)
     elif strategy == "candidate-sampling":
         candidates = _sampling_candidates(cfg, seed, centroid_budget, random_budget)
     else:

@@ -12,27 +12,60 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError
+from .errors import BudgetExceededError, InputError
 
 Point = tuple[Fraction, ...]
 Sign = int  # -1, 0 or +1
 
 
+# Largest bit length of the numerator or the denominator of a rational
+# read from a string; bigger ones raise BudgetExceededError.
+MAX_COORDINATE_BITS = 4096
+
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
+def _bounded_rational(text: str) -> Fraction:
+    """Fraction(text), refused over MAX_COORDINATE_BITS."""
+    match = _EXPONENT.search(text)
+    exponent = match.group(1).replace("_", "").lstrip("0") if match else ""
+    # A longer string or a larger decimal exponent is refused unread:
+    # either would build an integer far over the limit (leading zeros aside).
+    too_big = (
+        len(text) > MAX_COORDINATE_BITS
+        or int(exponent or 0) > MAX_COORDINATE_BITS
+    )
+    if not too_big:
+        try:
+            value = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputError(f"not a rational: {text!r}") from exc
+        too_big = max(value.numerator.bit_length(), value.denominator.bit_length()) > (
+            MAX_COORDINATE_BITS
+        )
+    if too_big:
+        raise BudgetExceededError(
+            f"rational {text[:40]!r} exceeds {MAX_COORDINATE_BITS} bits"
+        )
+    return value
+
+
 def rational(value) -> Fraction:
-    """Coerce ints, Fractions and strings like "1/3" or "0.25" exactly."""
+    """Coerce ints, Fractions and strings like "1/3" or "0.25" exactly.
+
+    Strings are bounded by MAX_COORDINATE_BITS; ints and Fractions are
+    taken as they are."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        try:
-            return Fraction(value.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"not a rational: {value!r}") from exc
+        return _bounded_rational(value)
     if isinstance(value, float):
         raise InputError(
             f"float {value!r} rejected: pass an exact string or Fraction"
@@ -42,9 +75,12 @@ def rational(value) -> Fraction:
 
 def format_rational(value: Fraction) -> str:
     value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:  # over Python's int-to-str digit limit
+        raise BudgetExceededError(f"rational too large to print: {exc}") from exc
 
 
 def point(*coords) -> Point:
@@ -146,6 +182,25 @@ def orientation_value(vertices: Sequence[Point]) -> Fraction:
         [verts[i][j] - verts[0][j] for j in range(d)] for i in range(1, d + 1)
     ]
     return _det(rows)
+
+
+def orientation_form(others: Sequence[Point], i: int) -> tuple[list[Fraction], Fraction]:
+    """The orientation value of `others` with a point p inserted at
+    position i, as the affine form coeffs . p + const.  The determinant
+    is affine in each vertex, so the form is read off at the origin and
+    at the unit vectors."""
+    verts = [point(v) for v in others]
+    d = len(verts)
+
+    def at(p):
+        return orientation_value(verts[:i] + [p] + verts[i:])
+
+    const = at(tuple(Fraction(0) for _ in range(d)))
+    coeffs = [
+        at(tuple(Fraction(1 if j == k else 0) for j in range(d))) - const
+        for k in range(d)
+    ]
+    return coeffs, const
 
 
 def point_in_simplex_interior(p: Point, vertices: Sequence[Point]) -> bool:

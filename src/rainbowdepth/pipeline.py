@@ -146,7 +146,8 @@ def verify_certificate(
 ) -> Counterexample | None:
     """Independent oracle: every rainbow simplex on the Q_i must contain
     O strictly.  None means verified; otherwise the first violating
-    tuple.  Each Q_i must be a nonempty subset of color class i.
+    tuple.  Each Q_i must be a nonempty subset of color class i, with
+    no point repeated.
     """
     o_point = point(o_point)
     q_sets = [tuple(point(p) for p in q) for q in q_sets]
@@ -157,6 +158,8 @@ def verify_certificate(
     for i, q in enumerate(q_sets):
         if not q:
             raise InputError(f"Q_{i} is empty")
+        if len(set(q)) != len(q):
+            raise InputError(f"Q_{i} repeats a point")
         members = set(cfg.colors[i])
         for p in q:
             if p not in members:

@@ -33,6 +33,7 @@ from .geometry import (
     format_rational,
     is_unambiguous,
     orientation,
+    orientation_form,
     point,
 )
 from .lp import OPTIMAL, solve_lp_max
@@ -246,18 +247,7 @@ def hyperplane_transversal_exists(
 
 def _hyperplane_through(points_d: Sequence[Point]) -> Hyperplane | None:
     """Hyperplane through d points in dimension d (None if degenerate)."""
-    pts = [point(p) for p in points_d]
-    d = len(pts[0])
-    from .geometry import orientation_value
-
-    zero = tuple(Fraction(0) for _ in range(d))
-    basis = [
-        tuple(Fraction(1 if j == k else 0) for j in range(d)) for k in range(d)
-    ]
-    const = orientation_value(list(pts) + [zero])
-    coeffs = [
-        orientation_value(list(pts) + [basis[k]]) - const for k in range(d)
-    ]
+    coeffs, const = orientation_form(points_d, len(points_d))
     if all(c == 0 for c in coeffs):
         return None
     return Hyperplane(tuple(coeffs), -const)

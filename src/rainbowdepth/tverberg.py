@@ -24,7 +24,7 @@ from .geometry import (
     Point,
     general_position_check,
     orientation,
-    orientation_value,
+    orientation_form,
     point,
 )
 from .lp import OPTIMAL, solve_lp_max
@@ -46,19 +46,9 @@ def _facet_inequalities(vertices: list[Point]):
     base = orientation(vertices)
     if base == 0:
         raise InputError("degenerate simplex: vertices are affinely dependent")
-    d = len(vertices) - 1
-    zero = tuple(Fraction(0) for _ in range(d))
-    basis = [
-        tuple(Fraction(1 if j == k else 0) for j in range(d)) for k in range(d)
-    ]
     forms = []
     for i in range(len(vertices)):
-        def det_at(p):
-            replaced = vertices[:i] + [p] + vertices[i + 1 :]
-            return orientation_value(replaced)
-
-        const = det_at(zero)
-        coeffs = [det_at(basis[k]) - const for k in range(d)]
+        coeffs, const = orientation_form(vertices[:i] + vertices[i + 1 :], i)
         forms.append(([base * c for c in coeffs], base * const))
     return forms
 

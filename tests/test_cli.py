@@ -304,3 +304,26 @@ def test_broken_internal_contract_exit_1(
     assert run_cli(*args) == EXIT_VERIFICATION
     err = _one_json_error(capsys)
     assert err["error"] == "internal" and message in err["message"]
+
+
+@pytest.mark.parametrize(
+    "coordinate",
+    ['"1e400000"', '"1e1000000000"', "1" + "0" * 5000],
+    ids=["string-1e400000", "string-1e1000000000", "json-int-5001-digits"],
+)
+def test_huge_coordinate_exit_3_without_traceback(tmp_path, coordinate):
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"dimension": 2, "colors": [[[%s, "0"]], [["1", "0"]], [["0", "1"]]]}'
+        % coordinate
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowdepth.cli", "check", "--input", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_BUDGET
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "Traceback" not in proc.stderr
+    assert json.loads(err[0])["error"] == "budget"

@@ -1,5 +1,7 @@
 import itertools
+import math
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,8 +20,8 @@ from rainbowdepth import (
     rainbow_depth_at,
     theoretical_constants,
 )
-from rainbowdepth.depth import _depth_only, counting_inequality_diagnostic
-from rainbowdepth.geometry import affine_image
+from rainbowdepth.depth import _cell_points, _depth_only, counting_inequality_diagnostic
+from rainbowdepth.geometry import affine_image, integer_scaled, primitive_direction
 
 
 def hexagon_config():
@@ -245,3 +247,113 @@ def test_planar_depth_fixed_cases():
     cfg = generate(GeneratorSpec(seed=3, n=4, d=2))
     for q in cfg.all_points():
         assert assert_depth_matches_oracle(cfg, q) is None
+
+
+# --- ray-shot arrangement oracle --------------------------------------------
+# The former exact-arrangement candidate generator, kept as a reference:
+# lines through all point pairs, and per cell a ray shot against every
+# line to find a step that stays inside the cell.
+
+
+def _lines_through_pairs(ipts):
+    lines = set()
+    for (x1, y1), (x2, y2) in itertools.combinations(ipts, 2):
+        a, b = y2 - y1, x1 - x2
+        if a == 0 and b == 0:
+            continue  # coincident points are rejected upstream
+        g = math.gcd(math.gcd(abs(a), abs(b)), abs(a * x1 + b * y1))
+        if g == 0:
+            g = 1
+        c = (a * x1 + b * y1) // g
+        a, b = a // g, b // g
+        if a < 0 or (a == 0 and b < 0):
+            a, b, c = -a, -b, -c
+        lines.add((a, b, c))
+    return sorted(lines)
+
+
+def _angular_cmp(u, w):
+    def half(v):
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    hu, hw = half(u), half(w)
+    if hu != hw:
+        return -1 if hu < hw else 1
+    cross = u[0] * w[1] - u[1] * w[0]
+    return 0 if cross == 0 else (-1 if cross > 0 else 1)
+
+
+def arrangement_cell_points(points):
+    """One interior point of every cell around every vertex of the
+    arrangement of lines through all point pairs, by ray shooting."""
+    ipts, scale = integer_scaled(points)
+    lines = _lines_through_pairs(ipts)
+    vertices = {}
+    for i, j in itertools.combinations(range(len(lines)), 2):
+        a1, b1, c1 = lines[i]
+        a2, b2, c2 = lines[j]
+        det = a1 * b2 - a2 * b1
+        if det == 0:
+            continue
+        x = Fraction(c1 * b2 - c2 * b1, det)
+        y = Fraction(a1 * c2 - a2 * c1, det)
+        vertices.setdefault((x, y), set()).update((i, j))
+    for v in sorted(vertices):
+        incident = vertices[v]
+        dirs = set()
+        for li in incident:
+            a, b, _ = lines[li]
+            d0 = primitive_direction(b, -a)
+            dirs.add(d0)
+            dirs.add((-d0[0], -d0[1]))
+        ordered = sorted(dirs, key=cmp_to_key(_angular_cmp))
+        vx, vy = v
+        for u, w in zip(ordered, ordered[1:] + ordered[:1]):
+            sx, sy = u[0] + w[0], u[1] + w[1]
+            if sx == 0 and sy == 0:
+                continue
+            t_min = None
+            for li, (a, b, c) in enumerate(lines):
+                if li in incident:
+                    continue
+                denom = a * sx + b * sy
+                if denom == 0:
+                    continue
+                t = Fraction(c - a * vx - b * vy, denom)
+                if t > 0 and (t_min is None or t < t_min):
+                    t_min = t
+            step = Fraction(1) if t_min is None else t_min / 2
+            yield ((vx + step * sx) / scale, (vy + step * sy) / scale)
+
+
+def assert_exact_arrangement_matches_oracle(cfg):
+    """Same maximum depth as the ray-shot oracle; every candidate of the
+    closed-form step is unambiguous; the witness recounts to its depth."""
+    depths = [_depth_only(cfg, p) for p in _cell_points(cfg)]
+    assert None not in depths
+    oracle = max(
+        d
+        for d in (_depth_only(cfg, p) for p in arrangement_cell_points(cfg.all_points()))
+        if d is not None
+    )
+    res = deepest_point(cfg, "exact-arrangement")
+    assert res.depth == max(depths) == oracle
+    assert res.candidates_examined == len(depths)
+    assert rainbow_depth_at(cfg, res.witness).count == res.depth
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 3),
+    distribution=st.sampled_from(
+        ["uniform-box", "gaussian", "moment-curve-perturbed"]
+    ),
+)
+def test_exact_arrangement_matches_ray_shot_oracle(seed, n, distribution):
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    assert_exact_arrangement_matches_oracle(cfg)
+
+
+def test_exact_arrangement_hexagon_matches_oracle():
+    assert_exact_arrangement_matches_oracle(hexagon_config())

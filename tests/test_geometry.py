@@ -17,7 +17,16 @@ from rainbowdepth import (
     rational,
     side_of_hyperplane,
 )
-from rainbowdepth.geometry import affine_image, convex_hull_2d, integer_scaled
+from rainbowdepth.errors import BudgetExceededError
+from rainbowdepth.geometry import (
+    MAX_COORDINATE_BITS,
+    affine_image,
+    convex_hull_2d,
+    format_rational,
+    integer_scaled,
+    orientation_form,
+    orientation_value,
+)
 
 rationals = st.builds(
     Fraction,
@@ -118,6 +127,37 @@ def test_rational_parsing():
         rational(0.25)
     with pytest.raises(InputError):
         rational("abc")
+
+
+def test_rational_string_bit_bound():
+    limit = MAX_COORDINATE_BITS
+    assert rational(str(2**limit - 1)).numerator.bit_length() == limit
+    assert rational(f"1/{2**limit - 1}").denominator.bit_length() == limit
+    assert rational("1" + "0" * 500 + "e-500") == 1  # reduced before the check
+    for text in (
+        str(2**limit),  # value over the limit
+        f"1/{2**limit}",
+        "1e1234",  # short string, value over the limit
+        f"1e{limit + 1}",  # exponent over the limit: refused unread
+        "1e1000000000",
+        "1E-" + "9" * 4000,  # a long exponent within a short-enough string
+        "0" * (limit + 1),  # string longer than the limit
+    ):
+        with pytest.raises(BudgetExceededError):
+            rational(text)
+    # ints and Fractions are not bounded
+    assert rational(2**limit) == 2**limit
+    # printing stops at Python's int-to-str digit limit
+    with pytest.raises(BudgetExceededError):
+        format_rational(Fraction(1, 10**5000))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(points2, min_size=2, max_size=2), points2, st.integers(0, 2))
+def test_orientation_form_is_orientation_value(others, p, i):
+    coeffs, const = orientation_form(others, i)
+    expected = orientation_value(others[:i] + [p] + others[i:])
+    assert sum(c * x for c, x in zip(coeffs, p)) + const == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -118,6 +118,8 @@ def test_verify_certificate_validations():
         verify_certificate(cfg, point(2, 0), cfg.colors)
     with pytest.raises(InputError):  # O of the wrong dimension
         verify_certificate(cfg, point(1, 1, 1), cfg.colors)
+    with pytest.raises(InputError, match="repeats"):  # Q_0 = {q, q}
+        verify_certificate(cfg, point(1, 1), [[point(0, 0)] * 2, [point(4, 0)], [point(0, 4)]])
 
 
 def test_verified_bundles_pass_independent_oracle():
