@@ -37,6 +37,7 @@ from .hypergraph import (
 )
 from .pipeline import (
     PipelineParams,
+    check_report_numbers,
     configuration_hash,
     load_report,
     report_bytes,
@@ -303,6 +304,7 @@ def _cmd_verify(args) -> int:
     o_point, q_sets = report_o_and_q(data)
     counter = verify_certificate(cfg, o_point, q_sets)
     if counter is None:
+        check_report_numbers(cfg, data, o_point, q_sets)
         _emit({"verified": True})
         return EXIT_OK
     _emit(

@@ -269,46 +269,121 @@ def _mask_of(sub: tuple[int, ...]) -> int:
     return m
 
 
+def exact_tuple_count(part_sizes: Sequence[int]) -> int:
+    """Number of equal-size subset tuples the exact extraction ranks:
+    the sum over s = 1..min(part_sizes) of prod_i C(n_i, s)."""
+    return sum(
+        math.prod(math.comb(n_i, s) for n_i in part_sizes)
+        for s in range(1, min(part_sizes) + 1)
+    )
+
+
 def extract_dense_exact(
     h: PartiteHypergraph,
     epsilon,
     gate: int = DEFAULT_GATE,
     top: int = 1,
 ) -> Subsets | list[Subsets]:
-    """Equal-size subset tuple maximizing e / s^(d+1-eps^(2d)), by full
-    enumeration over every size s (up to the smallest part) and every
-    tuple of s-subsets.
+    """Equal-size subset tuple maximizing e / s^(d+1-eps^(2d)) over every
+    size s (up to the smallest part) and every tuple of s-subsets.
 
     Ties break to the lexicographically smallest tuple.  With `top` > 1,
     returns the best `top` tuples in tie-order (used for pipeline
-    retries).
+    retries).  The gate bounds the number of tuples ranked.
+
+    The edge list is never scanned per tuple.  Fix s and a prefix
+    S_0, ..., S_{d-1}, and let cnt[c] count the edges inside the prefix
+    whose last vertex is c; then e(S) = sum of cnt[c] over c in S_d.
+    The edges are bucketed once by their prefix, and cnt is folded part
+    by part from those buckets.  Once the ranking holds `top` entries,
+    `need` is the least edge count whose value at size s is not strictly
+    below the last entry (an undecided comparison counts as not below).
+    A prefix whose s largest counts sum below `need` is skipped whole,
+    and so is every S_d that sums below it; every other tuple goes
+    through the same ranked insertion as before.  The top `top` under
+    (value descending, tuple ascending) is one fixed set whatever the
+    order of insertion, and no skipped tuple could enter it, so the
+    result equals that of scoring every tuple.
     """
-    s_max = min(h.part_sizes)
-    total = sum(
-        math.prod(math.comb(n_i, s) for n_i in h.part_sizes)
-        for s in range(1, s_max + 1)
-    )
+    if top < 1:
+        raise InputError(f"top must be at least 1, got {top}")
+    total = exact_tuple_count(h.part_sizes)
     if total > gate:
         raise BudgetExceededError(
             f"{total} candidate tuples exceed the gate {gate}; "
             "use extract_dense_local instead"
         )
     exponent = density_exponent(h.d, Fraction(epsilon))
-    edges = _edge_bits(h)
+    *prefix_sizes, last_size = h.part_sizes
+    # cnt travels packed in one int, `width` bits per last vertex; no
+    # count exceeds prod(prefix_sizes), so fields never carry over.
+    width = math.prod(prefix_sizes).bit_length()
+    field = (1 << width) - 1
+    buckets: dict[tuple[int, ...], int] = {}
+    for e in h.edges:
+        buckets[e[:-1]] = buckets.get(e[:-1], 0) + (1 << (width * e[-1]))
     ranked: list[tuple[DensityValue, Subsets]] = []
-    for s in range(1, s_max + 1):
-        per_part = [
-            [(c, _mask_of(c)) for c in itertools.combinations(range(n_i), s)]
-            for n_i in h.part_sizes
-        ]
-        for choice in itertools.product(*per_part):
-            tup = tuple(c for c, _ in choice)
-            e = _count_in_masks(edges, [m for _, m in choice])
-            value = DensityValue(e, s, exponent)
-            _rank_insert(ranked, value, tup, top)
+    for s in range(1, min(h.part_sizes) + 1):
+        last_subsets = list(itertools.combinations(range(last_size), s))
+        need, need_for = 0, None  # need_for: the entry `need` was set for
+        for prefix, packed in _prefix_counts(buckets, prefix_sizes, s):
+            if len(ranked) == top and ranked[-1] is not need_for:
+                need_for = ranked[-1]
+                need = _least_entering_count(
+                    s, exponent, need_for[0], cap=s**h.num_parts
+                )
+            cnt = [(packed >> (width * c)) & field for c in range(last_size)]
+            if sum(sorted(cnt, reverse=True)[:s]) < need:
+                continue
+            for sub in last_subsets:
+                e = sum([cnt[c] for c in sub])
+                if e >= need:
+                    value = DensityValue(e, s, exponent)
+                    _rank_insert(ranked, value, prefix + (sub,), top)
     if top == 1:
         return ranked[0][1]
     return [tup for _, tup in ranked]
+
+
+def _prefix_counts(buckets: dict, sizes: Sequence[int], s: int):
+    """(S_0, ..., S_{d-1}) and its packed cnt, for every tuple of
+    s-subsets of the parts in `sizes`, in lexicographic order.  Each
+    level sums the buckets whose leading vertex lies in its subset."""
+
+    def fold(level: int, table: dict, chosen: Subsets):
+        if level == len(sizes):
+            yield chosen, table.get((), 0)
+            return
+        for sub in itertools.combinations(range(sizes[level]), s):
+            members = set(sub)
+            folded: dict[tuple[int, ...], int] = {}
+            for key, packed in table.items():
+                if key[0] in members:
+                    folded[key[1:]] = folded.get(key[1:], 0) + packed
+            yield from fold(level + 1, folded, chosen + (sub,))
+
+    yield from fold(0, buckets, ())
+
+
+def _least_entering_count(
+    s: int, exponent: Fraction, last: DensityValue, cap: int
+) -> int:
+    """Smallest e <= cap whose DensityValue(e, s) is not strictly below
+    `last` (cap + 1 if none is).  The value grows with e, so bisect; an
+    undecided comparison counts as "not below", which can only lower
+    the result."""
+    lo, hi = 0, cap + 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        try:
+            below = DensityValue(mid, s, exponent)._compare(last) < 0
+        except ExactComparisonError:
+            below = False
+        if below:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def _rank_insert(

@@ -19,14 +19,12 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import ColoredConfiguration, parse_json, save_configuration
 from .depth import deepest_point, rainbow_depth_at, theoretical_constants
 from .errors import (
-    BudgetExceededError,
     InputError,
     PipelineStageError,
     TrimExhaustedError,
@@ -43,6 +41,7 @@ from .geometry import (
 from .hypergraph import (
     PartiteHypergraph,
     edge_count,
+    exact_tuple_count,
     extract_dense_exact,
     extract_dense_local,
     partite_hypergraph,
@@ -216,14 +215,9 @@ def _extraction_candidates(
 ):
     """Ranked extraction attempts for the retry loop."""
     mode = params.extraction
-    n = h.part_sizes[0]
-    total = sum(math.comb(n, s) ** h.num_parts for s in range(1, n + 1))
-    use_exact = mode == "exact" or (mode == "auto" and total <= params.exact_gate)
-    if mode == "exact" and total > params.exact_gate:
-        raise BudgetExceededError(
-            f"exact extraction gated: {total} tuples > {params.exact_gate}"
-        )
-    if use_exact:
+    if mode == "exact" or (
+        mode == "auto" and exact_tuple_count(h.part_sizes) <= params.exact_gate
+    ):
         ranked = extract_dense_exact(
             h, epsilon, gate=params.exact_gate, top=params.max_retries + 1
         )
@@ -243,6 +237,8 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
             "depth", f"full pipeline requires dimension 2, got {d}"
         )
     epsilon = params.resolve_epsilon(d)
+    if params.max_retries < 0:
+        raise InputError(f"max_retries must be >= 0, got {params.max_retries}")
     input_hash = configuration_hash(cfg)
 
     deep = deepest_point(
@@ -361,3 +357,32 @@ def report_o_and_q(data: dict) -> tuple[Point, list[tuple[Point, ...]]]:
     except (KeyError, TypeError) as exc:
         raise InputError(f"report missing O/Q fields: {exc}") from exc
     return o_point, q_sets
+
+
+def check_report_numbers(
+    cfg: ColoredConfiguration, data: dict, o_point: Point, q_sets
+) -> None:
+    """The report's own `sizes`, `ratios` and `depth`, where present,
+    must match its Q and O: len(Q_i), len(Q_i)/n and the rainbow depth
+    of O.  Raises InputError on the first mismatch."""
+    sizes = [len(q) for q in q_sets]
+    if "sizes" in data and not (
+        isinstance(data["sizes"], list)
+        and all(type(v) is int for v in data["sizes"])
+        and data["sizes"] == sizes
+    ):
+        raise InputError(f"report sizes do not match Q, expected {sizes}")
+    ratios = [Fraction(size, cfg.n) for size in sizes]
+    if "ratios" in data and not (
+        isinstance(data["ratios"], list)
+        and all(isinstance(r, str) for r in data["ratios"])
+        and [rational(r) for r in data["ratios"]] == ratios
+    ):
+        raise InputError(
+            "report ratios do not match Q, expected "
+            f"{[format_rational(r) for r in ratios]}"
+        )
+    if "depth" in data:
+        depth = rainbow_depth_at(cfg, o_point).count
+        if type(data["depth"]) is not int or data["depth"] != depth:
+            raise InputError(f"report depth does not match O, expected {depth}")

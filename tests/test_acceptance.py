@@ -386,3 +386,24 @@ def test_pinned_report_digests():
         for seed, _, _, blob in pipeline_suite
     }
     assert digests == PINNED_REPORT_SHA256
+
+
+# sha256 of the `run` report of `gen --seed 0` (default params) at sizes
+# where `auto` picks exact extraction; the table above (n=10) only
+# covers local search.
+PINNED_EXACT_MODE_SHA256 = {
+    (7, "uniform-box"): "b7c31e6cc6c76b3b67634404e6f03a8c320f7e4e3b48ec0805efbc4e8db81c66",
+    (7, "gaussian"): "bbcc745de19a3ec7b027cbcb56333edb00eea853a8cf362a5bf1a6b49f4018e9",
+    (7, "moment-curve-perturbed"): "ac2b2d9b81bd8a702e217b60206b64fb4f885dd199a6453f440469c6037d9f3f",
+    (8, "uniform-box"): "dfe0d0314c7576e6bc796685d490a7c3f72ad8f824cbe2ae19279f73912b503c",
+}
+
+
+def test_pinned_exact_mode_report_digests():
+    digests = {}
+    for n, distribution in PINNED_EXACT_MODE_SHA256:
+        cfg = generate(GeneratorSpec(seed=0, n=n, d=2, distribution=distribution))
+        bundle = run_pipeline(cfg, PipelineParams())
+        assert bundle.stats["attempts"][0]["extraction_mode"] == "exact"
+        digests[n, distribution] = hashlib.sha256(report_bytes(bundle)).hexdigest()
+    assert digests == PINNED_EXACT_MODE_SHA256

@@ -156,6 +156,74 @@ def test_verify_tampered_exit_1(cfg_path, tmp_path, capsys):
     assert "counterexample" in out
 
 
+@pytest.fixture(scope="module")
+def n6_run(tmp_path_factory):
+    """A configuration of `gen --seed 0 --n 6` and its genuine report."""
+    base = tmp_path_factory.mktemp("n6")
+    cfg, report = base / "cfg.json", base / "report.json"
+    assert run_cli("gen", "--seed", "0", "--n", "6", "--output", str(cfg)) == EXIT_OK
+    assert run_cli("run", "--input", str(cfg), "--output", str(report)) == EXIT_OK
+    return cfg, json.loads(report.read_text())
+
+
+def _cut_q0(data, cfg):
+    data["Q"][0] = data["Q"][0][:1]
+
+
+def _cut_q0_and_sizes(data, cfg):
+    _cut_q0(data, cfg)
+    data["sizes"][0] = 1
+
+
+def _cut_q0_sizes_and_ratios(data, cfg):
+    _cut_q0_and_sizes(data, cfg)
+    data["ratios"][0] = "1/6"
+
+
+def _add_point_outside_q0(data, cfg):
+    kept = {tuple(p) for p in data["Q"][0]}
+    data["Q"][0].append(next(p for p in cfg["colors"][0] if tuple(p) not in kept))
+
+
+@pytest.mark.parametrize(
+    "edit, expected",
+    [
+        (lambda data, cfg: None, EXIT_OK),
+        (_cut_q0, EXIT_INPUT),
+        (_cut_q0_and_sizes, EXIT_INPUT),
+        (_cut_q0_sizes_and_ratios, EXIT_OK),
+        (lambda data, cfg: data.update(depth=data["depth"] + 1), EXIT_INPUT),
+        (lambda data, cfg: data.update(depth=str(data["depth"])), EXIT_INPUT),
+        (lambda data, cfg: data.update(sizes="all"), EXIT_INPUT),
+        (lambda data, cfg: data.update(ratios=[1, 1, 1]), EXIT_INPUT),
+        (lambda data, cfg: [data.pop(k) for k in ("sizes", "ratios", "depth")], EXIT_OK),
+        # a containment counterexample wins over the stale sizes
+        (_add_point_outside_q0, EXIT_VERIFICATION),
+    ],
+    ids=[
+        "genuine", "q0-cut-sizes-stale", "q0-cut-ratios-stale", "q0-cut-consistent",
+        "depth-off-by-one", "depth-as-string", "sizes-not-a-list", "ratios-not-strings",
+        "no-recorded-numbers", "counterexample-first",
+    ],
+)
+def test_verify_checks_recorded_numbers(n6_run, tmp_path, capsys, edit, expected):
+    cfg_path, genuine = n6_run
+    data = json.loads(json.dumps(genuine))
+    edit(data, json.loads(cfg_path.read_text()))
+    report = tmp_path / "edited.json"
+    report.write_text(json.dumps(data))
+    assert run_cli("verify", "--input", str(cfg_path), "--report", str(report)) == expected
+    if expected == EXIT_INPUT:
+        assert _one_json_error(capsys)["error"] == "input"
+
+
+@pytest.mark.parametrize("mode", ["exact", "local"])
+def test_negative_retries_exit_2(cfg_path, capsys, mode):
+    argv = ["run", "--input", str(cfg_path), "--mode", mode, "--retries", "-1"]
+    assert run_cli(*argv) == EXIT_INPUT
+    assert _one_json_error(capsys)["error"] == "input"
+
+
 def test_verify_hash_mismatch(tmp_path, cfg_path, capsys):
     report = tmp_path / "report.json"
     run_cli("run", "--input", str(cfg_path), "--output", str(report))
@@ -233,6 +301,20 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert out.exists()
+
+
+
+def test_python_dash_m_rainbowdepth(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    assert run_cli("gen", "--seed", "1", "--n", "3", "--output", str(cfg)) == EXIT_OK
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowdepth", "check", "--input", str(cfg)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert json.loads(proc.stdout)["valid"] is True
 
 
 

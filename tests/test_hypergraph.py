@@ -1,12 +1,17 @@
+import heapq
 import itertools
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rainbowdepth import (
     BudgetExceededError,
     DensityValue,
+    ExactComparisonError,
     InputError,
     averaging_identity_check,
     density_value,
@@ -18,7 +23,8 @@ from rainbowdepth import (
     partite_hypergraph,
     verify_property_ii,
 )
-from rainbowdepth.hypergraph import density_exponent
+from rainbowdepth.hypergraph import density_exponent, exact_tuple_count
+from test_acceptance import random_dense_hypergraph
 
 
 def complete_222():
@@ -151,6 +157,8 @@ def test_extract_exact_gate():
     h = complete_222()
     with pytest.raises(BudgetExceededError):
         extract_dense_exact(h, Fraction(1, 4), gate=3)
+    with pytest.raises(InputError):
+        extract_dense_exact(h, Fraction(1, 4), top=0)
 
 
 def test_extract_exact_guarantees():
@@ -190,6 +198,72 @@ def test_extract_monotone_in_edges():
     v1 = density_value(h, extract_dense_exact(h, eps), eps)
     v2 = density_value(bigger, extract_dense_exact(bigger, eps), eps)
     assert v2 >= v1
+
+
+def enumerating_extract_dense_exact(h, epsilon, top=1):
+    """Reference for extract_dense_exact: the full enumeration it
+    replaced.  Every tuple of s-subsets is scored on its own, e(S)
+    counted by definition (the rainbow tuples of S that are edges), and
+    the best `top` are taken under (value descending, tuple ascending)
+    with a comparator of its own, not the module's ranked insertion."""
+    exponent = density_exponent(h.d, Fraction(epsilon))
+    scored = []
+    for s in range(1, min(h.part_sizes) + 1):
+        per_part = [itertools.combinations(range(n_i), s) for n_i in h.part_sizes]
+        for tup in itertools.product(*per_part):
+            e = sum(edge in h.edges for edge in itertools.product(*tup))
+            scored.append((DensityValue(e, s, exponent), tup))
+
+    def order(a, b):
+        return b[0]._compare(a[0]) or (a[1] > b[1]) - (a[1] < b[1])
+
+    ranked = [tup for _, tup in heapq.nsmallest(top, scored, key=cmp_to_key(order))]
+    return ranked[0] if top == 1 else ranked
+
+
+def assert_matches_enumeration(h, epsilon, top):
+    try:
+        expected = enumerating_extract_dense_exact(h, epsilon, top)
+    except ExactComparisonError:
+        assume(False)  # the reference ranking itself is undecided
+    assert extract_dense_exact(h, epsilon, top=top) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    density=st.integers(0, 100),
+    edge_seed=st.integers(0, 2**32),
+    top=st.sampled_from([1, 2, 6]),
+    epsilon=st.sampled_from(
+        [Fraction(1, 4), Fraction(1, 3), Fraction(1, 10), Fraction(1, 256)]
+    ),
+)
+# No edges: every tuple ties at zero, so a larger s must displace a
+# lexicographically later s=1 tuple from the full ranking.
+@example(sizes=[2, 2, 2], density=0, edge_seed=0, top=6, epsilon=Fraction(1, 4))
+def test_extract_exact_matches_enumeration(sizes, density, edge_seed, top, epsilon):
+    rng = random.Random(edge_seed)
+    edges = [
+        e
+        for e in itertools.product(*[range(n_i) for n_i in sizes])
+        if rng.randrange(100) < density
+    ]
+    assert_matches_enumeration(partite_hypergraph(sizes, edges), epsilon, top)
+
+
+def test_extract_exact_matches_enumeration_on_criterion_4_cases():
+    # the 30 hypergraphs of acceptance criterion 4, in the same order
+    rng = random.Random("criterion-4")
+    for _ in range(30):
+        h = random_dense_hypergraph(rng)
+        assert_matches_enumeration(h, Fraction(1, 3), top=6)
+
+
+def test_exact_tuple_count():
+    assert exact_tuple_count([2, 2, 2]) == 2**3 + 1
+    assert exact_tuple_count([3, 1, 2]) == 3 * 1 * 2
+    assert exact_tuple_count([7, 7, 7]) == 104_959
 
 
 def test_extract_local_complete_and_bound():
