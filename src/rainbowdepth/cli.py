@@ -16,6 +16,7 @@ import sys
 from .config import (
     GeneratorSpec,
     generate,
+    json_point,
     load_configuration,
     parse_json,
     save_configuration,
@@ -29,7 +30,7 @@ from .errors import (
     PipelineStageError,
     TrimExhaustedError,
 )
-from .geometry import format_rational, point, rational
+from .geometry import format_rational, rational
 from .hypergraph import (
     extract_dense_exact,
     extract_dense_local,
@@ -251,11 +252,8 @@ def _cmd_densify(args) -> int:
 def _cmd_separate(args) -> int:
     data = parse_json(_read(args.input), "trim-state JSON")
     try:
-        o_point = point([rational(c) for c in data["o"]])
-        sets = [
-            [point([rational(c) for c in p]) for p in pts]
-            for pts in data["sets"]
-        ]
+        o_point = json_point(data["o"])
+        sets = [[json_point(p) for p in pts] for pts in data["sets"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad trim-state JSON: {exc}") from exc
     q_sets, trace = trim_to_separated(sets, o_point, max_steps=args.max_steps)

@@ -30,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .geometry import (
+    MAX_COORDINATE_BITS,
     Point,
     format_rational,
     general_position_check,
@@ -224,12 +225,24 @@ def save_configuration(cfg: ColoredConfiguration, fmt: str = "json") -> bytes:
     raise InputError(f"unknown format {fmt!r}")
 
 
-def _coord(value) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(
-            f"coordinate {value!r} rejected: use exact strings or integers"
-        )
-    return rational(value)
+def json_point(coords) -> Point:
+    """A point read from JSON, the one coordinate reader for every JSON
+    input.  Each coordinate is an exact string or a JSON integer, both
+    bounded by MAX_COORDINATE_BITS (BudgetExceededError past it); a
+    float or a boolean is a ParseError."""
+    values = []
+    for value in coords:
+        if isinstance(value, (bool, float)):
+            raise ParseError(
+                f"coordinate {value!r} rejected: use exact strings or integers"
+            )
+        if isinstance(value, int) and abs(value).bit_length() > MAX_COORDINATE_BITS:
+            raise BudgetExceededError(
+                f"integer coordinate of {abs(value).bit_length()} bits exceeds "
+                f"{MAX_COORDINATE_BITS} bits"
+            )
+        values.append(rational(value))
+    return tuple(values)
 
 
 def _decode_text(source) -> str:
@@ -264,7 +277,7 @@ def load_configuration(source, fmt: str = "json") -> ColoredConfiguration:
             dimension = data["dimension"]
             raw_colors = data["colors"]
             colors = tuple(
-                tuple(tuple(_coord(c) for c in p) for p in cls)
+                tuple(json_point(p) for p in cls)
                 for cls in raw_colors
             )
         except (KeyError, TypeError) as exc:

@@ -18,7 +18,12 @@ rainbow simplex is tested directly.
 `deepest_point` realizes, by search, the existence of a point
 contained in many rainbow simplices; the fractional-Helly machinery
 that proves existence in general is not needed at desk scale, where
-exhaustive evaluation is exact.
+exhaustive evaluation is exact.  Candidates never leave the
+configuration's integer frame: each is (den, num), the point
+num/(den*scale), with a fixed den per kind (d+1 for a centroid, 9973
+for a random point, one per vertex for a cell point).  Only a candidate
+whose depth reaches the best so far becomes a Fraction point, for the
+tie-break; d != 2 builds one per candidate for the direct test.
 
 Two strategies:
 
@@ -120,11 +125,21 @@ class DepthResult:
     candidates_examined: int
 
 
-def _frame(cfg: ColoredConfiguration, p: Point) -> tuple[int, list[int]]:
+# A point num/den of the configuration's integer frame, den > 0: the
+# point num/(den*scale) of the original coordinates.
+Framed = tuple[int, tuple[int, ...]]
+
+
+def _frame(cfg: ColoredConfiguration, p: Point) -> Framed:
     """p in the configuration's integer frame: p*scale = num/den, den > 0."""
     scaled = [c * cfg.scale for c in p]
     den = math.lcm(*(c.denominator for c in scaled))
-    return den, [c.numerator * (den // c.denominator) for c in scaled]
+    return den, tuple(c.numerator * (den // c.denominator) for c in scaled)
+
+
+def _unframe(cfg: ColoredConfiguration, den: int, num) -> Point:
+    """The point num/(den*scale) of the original frame; inverse of `_frame`."""
+    return tuple(Fraction(c, den * cfg.scale) for c in num)
 
 
 def _depth_plane(
@@ -169,8 +184,9 @@ def _angle_keys(vectors, k: int) -> list[tuple[int, int]]:
     ]
 
 
-def _depth_sweep(cfg: ColoredConfiguration, p: Point) -> int | None:
-    """Planar rainbow depth of p by an angular sweep, O(N log N).
+def _depth_sweep(cfg: ColoredConfiguration, den: int, num) -> int | None:
+    """Planar rainbow depth of p = num/den in the integer frame (den > 0,
+    not necessarily in lowest terms) by an angular sweep, O(N log N).
 
     A rainbow triangle misses p exactly when one vertex v sees the other
     two inside the open half-turn counter-clockwise from v, and then
@@ -180,7 +196,7 @@ def _depth_sweep(cfg: ColoredConfiguration, p: Point) -> int | None:
     configuration point, or two points of different colors lie on one
     line through p (same ray or opposite rays).
     """
-    den, (px, py) = _frame(cfg, p)
+    px, py = num
     dx = [den * q[0] - px for q in cfg.int_points]
     dy = [den * q[1] - py for q in cfg.int_points]
     if (0, 0) in zip(dx, dy):
@@ -269,19 +285,21 @@ def rainbow_depth_at(cfg: ColoredConfiguration, p: Point) -> RainbowDepth:
     return RainbowDepth(len(tuples), tuple(tuples))
 
 
-def _depth_only(cfg: ColoredConfiguration, p: Point) -> int | None:
+def _depth_only(cfg: ColoredConfiguration, den: int, num) -> int | None:
+    """Depth of the framed point num/den, None where it is ambiguous."""
     if cfg.dimension == 2:
-        return _depth_sweep(cfg, p)
-    result = _depth_general(cfg, p, collect=False)
+        return _depth_sweep(cfg, den, num)
+    result = _depth_general(cfg, _unframe(cfg, den, num), collect=False)
     return None if result is None else result[0]
 
 
 # --- exact arrangement sweep (d = 2) ---------------------------------------
 
 
-def _cell_points(cfg: ColoredConfiguration) -> Iterator[Point]:
+def _cell_points(cfg: ColoredConfiguration) -> Iterator[Framed]:
     """One interior point of every cell around every vertex of the
-    arrangement of lines through differently colored point pairs.
+    arrangement of lines through differently colored point pairs, as
+    (den, num) in the integer frame.
 
     Each point lies in the open sector between two angularly adjacent
     line directions at a vertex v, at v + t*s with s = u + w their sum
@@ -313,12 +331,14 @@ def _cell_points(cfg: ColoredConfiguration) -> Iterator[Point]:
             )
     for (vx, vy), dirs in vertices.items():
         ordered = [u for _, u in sorted(zip(_angle_keys(dirs, big * big), dirs))]
-        step = 2 * math.lcm(vx.denominator, vy.denominator) * big
+        lcm = math.lcm(vx.denominator, vy.denominator)
+        lx = vx.numerator * (lcm // vx.denominator)
+        ly = vy.numerator * (lcm // vy.denominator)
         for u, w in zip(ordered, ordered[1:] + ordered[:1]):
             sx, sy = u[0] + w[0], u[1] + w[1]
-            t = Fraction(1, step * (abs(sx) + abs(sy)))
-            # back to the original frame: the lattice was scaled up by `scale`
-            yield ((vx + t * sx) / cfg.scale, (vy + t * sy) / cfg.scale)
+            # v + t*s = (L*v*k + s) / (L*k) with k = 2*A*(|sx|+|sy|)
+            k = 2 * big * (abs(sx) + abs(sy))
+            yield lcm * k, (lx * k + sx, ly * k + sy)
 
 
 def _sampling_candidates(
@@ -326,7 +346,10 @@ def _sampling_candidates(
     seed: int,
     centroid_budget: int,
     random_budget: int,
-) -> Iterator[Point]:
+) -> Iterator[Framed]:
+    """Rainbow-tuple centroids (den = d+1 over the sum of the vertices),
+    then seeded random points of the bounding box on a 1/9973 grid
+    (den = 9973), as (den, num) in the integer frame."""
     d = cfg.dimension
     n = cfg.n
     total = n ** (d + 1)
@@ -338,17 +361,16 @@ def _sampling_candidates(
             tuple(rng.randrange(n) for _ in range(d + 1))
             for _ in range(centroid_budget)
         )
-    k = Fraction(1, d + 1)
+    pts = cfg.int_points
     for idx in index_tuples:
-        verts = [cfg.colors[i][idx[i]] for i in range(d + 1)]
-        yield tuple(k * sum(v[j] for v in verts) for j in range(d))
-    union = cfg.all_points()
-    lo = [min(p[j] for p in union) for j in range(d)]
-    hi = [max(p[j] for p in union) for j in range(d)]
+        verts = [pts[i * n + idx[i]] for i in range(d + 1)]
+        yield d + 1, tuple(sum(v[j] for v in verts) for j in range(d))
+    lo = [min(p[j] for p in pts) for j in range(d)]
+    hi = [max(p[j] for p in pts) for j in range(d)]
     den = 9973
     for _ in range(random_budget):
-        yield tuple(
-            lo[j] + (hi[j] - lo[j]) * Fraction(rng.randrange(den + 1), den)
+        yield den, tuple(
+            den * lo[j] + (hi[j] - lo[j]) * rng.randrange(den + 1)
             for j in range(d)
         )
 
@@ -364,7 +386,10 @@ def deepest_point(
 
     exact-arrangement evaluates one point in every cell around every
     vertex of the bichromatic line arrangement and is exact (d = 2
-    only); candidate-sampling is a bounded heuristic.
+    only); candidate-sampling is a bounded heuristic.  Both generate
+    candidates as integer numerators over a fixed denominator in the
+    configuration's integer frame and score them there; the witness is
+    converted back to Fractions only when it ties or beats the best.
     Both are deterministic; ties break to the lexicographically smallest
     witness point.
     """
@@ -373,7 +398,7 @@ def deepest_point(
             raise UnsupportedDimensionError(
                 "exact-arrangement strategy requires dimension 2"
             )
-        candidates: Iterator[Point] = _cell_points(cfg)
+        candidates: Iterator[Framed] = _cell_points(cfg)
     elif strategy == "candidate-sampling":
         candidates = _sampling_candidates(cfg, seed, centroid_budget, random_budget)
     else:
@@ -382,16 +407,19 @@ def deepest_point(
     best_depth = -1
     best_point: Point | None = None
     examined = 0
-    for cand in candidates:
+    for den, num in candidates:
         examined += 1
-        depth = _depth_only(cfg, cand)
-        if depth is None:
-            continue  # on a spanned hyperplane: ambiguous, skip
-        if depth > best_depth or (depth == best_depth and cand < best_point):
+        depth = _depth_only(cfg, den, num)
+        if depth is None or depth < best_depth:
+            continue  # None: on a spanned hyperplane, ambiguous
+        # Only a candidate that reaches the incumbent becomes a Fraction
+        # point, for the lexicographic tie-break.
+        cand = _unframe(cfg, den, num)
+        if depth > best_depth or cand < best_point:
             best_depth = depth
             best_point = cand
     if best_point is None:
         raise InputError(
             "no valid candidate found (every candidate hit a spanned hyperplane)"
         )
-    return DepthResult(point(best_point), best_depth, examined)
+    return DepthResult(best_point, best_depth, examined)

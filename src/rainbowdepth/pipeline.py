@@ -4,10 +4,13 @@ strictly contains O.
 
 Stages: (1) depth search for O; (2) the partite hypergraph of rainbow
 tuples containing O; (3) dense equal-size extraction; (4) trimming to a
-separated family {O}, hull(Q_1), ..., hull(Q_{d+1}); (5) independent
-brute-force verification.  When trimming or verification fails, the
-pipeline retries from stage 3 with the next-ranked extraction (exact
-mode) or a reseeded local search; every retry is recorded.
+separated family {O}, hull(Q_1), ..., hull(Q_{d+1}), skipped when the
+extracted S is complete (every rainbow triangle on S contains O), which
+makes the family separated already (see `run_pipeline`); (5) independent
+brute-force verification, on integers in the plane.  When trimming or
+verification fails, the pipeline retries from stage 3 with the
+next-ranked extraction (exact mode) or a reseeded local search; every
+retry is recorded.
 
 The verifier is deliberately independent of the pipeline internals: it
 re-tests containment tuple by tuple with the core predicates and never
@@ -19,10 +22,16 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import ColoredConfiguration, parse_json, save_configuration
+from .config import (
+    ColoredConfiguration,
+    json_point,
+    parse_json,
+    save_configuration,
+)
 from .depth import deepest_point, rainbow_depth_at, theoretical_constants
 from .errors import (
     InputError,
@@ -32,8 +41,10 @@ from .errors import (
 from .geometry import (
     Point,
     format_rational,
+    integer_scaled,
     is_unambiguous,
     orientation,  # noqa: F401  perfbench/test_perfbench.py reads pipeline.orientation
+    pair_sign_table,
     point,
     point_in_simplex_interior,
     rational,
@@ -145,8 +156,10 @@ def verify_certificate(
 ) -> Counterexample | None:
     """Independent oracle: every rainbow simplex on the Q_i must contain
     O strictly.  None means verified; otherwise the first violating
-    tuple.  Each Q_i must be a nonempty subset of color class i, with
-    no point repeated.
+    tuple, in product order.  Each Q_i must be a nonempty subset of
+    color class i, with no point repeated.  In the plane the test runs
+    on integers (`_planar_containment`), else by
+    `point_in_simplex_interior`.
     """
     o_point = point(o_point)
     q_sets = [tuple(point(p) for p in q) for q in q_sets]
@@ -170,13 +183,45 @@ def verify_certificate(
             "O lies on a hyperplane spanned by differently colored "
             "configuration points"
         )
+    if cfg.dimension == 2:
+        contains = _planar_containment(o_point, q_sets)
+    else:
+        def contains(choice):
+            verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
+            return point_in_simplex_interior(o_point, verts)
     for choice in itertools.product(*[range(len(q)) for q in q_sets]):
-        verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
-        if not point_in_simplex_interior(o_point, verts):
+        if not contains(choice):
+            verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
             return Counterexample(
                 tuple(choice), tuple(verts), "simplex does not contain O strictly"
             )
     return None
+
+
+def _planar_containment(o_point: Point, q_sets):
+    """The test "the rainbow triangle of index tuple `choice` contains O
+    strictly", on integers, for an unambiguous O.
+
+    Q and O are scaled to integers once.  With vectors taken from O, O
+    lies strictly inside exactly when cross(a, b), cross(b, c) and
+    cross(c, a) have one sign: they are the orientations of (O, b, c),
+    (a, O, c) and (a, b, O), which sum to that of (a, b, c).  None is 0,
+    as O is on no line through two differently colored points, so the
+    signs of the cross-colored pairs are tabulated once.
+    """
+    points = [p for q in q_sets for p in q]
+    scaled, _ = integer_scaled(points + [o_point])
+    colors = [i for i, q in enumerate(q_sets) for _ in q]
+    table = pair_sign_table(scaled[:-1], colors, 1, scaled[-1])
+    assert table is not None, "O was checked to be unambiguous"
+    base_b = len(q_sets[0])
+    base_c = base_b + len(q_sets[1])
+
+    def contains(choice) -> bool:
+        a, b, c = choice[0], base_b + choice[1], base_c + choice[2]
+        return table[a][b] == table[b][c] == table[c][a]
+
+    return contains
 
 
 def all_or_none_check(q_sets, o_point: Point, assume_separated: bool = False) -> str:
@@ -231,6 +276,34 @@ def _extraction_candidates(
 
 
 def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBundle:
+    """Stages (1)-(5) of the module docstring, with retries.
+
+    A complete S (every rainbow triangle on it contains O) skips the
+    trim and keeps S whole, with the trace of a 0-step trim, by this
+
+    Lemma (d = 2).  If every rainbow triangle abc, a in Q_1, b in Q_2,
+    c in Q_3, strictly contains O, then {O}, hull(Q_1), hull(Q_2),
+    hull(Q_3) is a separated family.
+
+    Proof.  Put O at the origin.  For a, b, c in general position, O is
+    strictly inside abc exactly when -c = x*a + y*b with x, y > 0, and
+    likewise for -a and -b.
+    (i) Fix c in Q_3.  Each a in Q_1 and b in Q_2 lie strictly on
+    opposite sides of the line Rc, and their angles from -c sum to less
+    than pi.  So all of Q_1 is on one side, all of Q_2 on the other, and
+    with the largest angle on each side, Q_1 u Q_2 lies in an open
+    half-plane g > 0 bounded by a line through O.  Then g = t for a
+    small t > 0 separates {O} from hull(Q_1 u Q_2), and the line Rc
+    shifted slightly toward Q_1 (or Q_2) separates hull(Q_1) from
+    {O} u hull(Q_2) (or hull(Q_2) from {O} u hull(Q_1)).
+    (ii) Fix a in Q_1 and take g > 0 on Q_2 u Q_3 from (i).  Every a'
+    in Q_1 has -a' = x*b + y*c with x, y > 0, so g(a') < 0, and g = 0
+    separates hull(Q_1) from hull(Q_2 u Q_3).
+    The hypothesis is symmetric in the three sets, so (i) and (ii) with
+    every choice of pivot set cover every split of every triple.  QED
+
+    The independent verification still runs on the kept S.
+    """
     d = cfg.dimension
     if d != 2:
         raise PipelineStageError(
@@ -278,15 +351,19 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
             "s": len(subsets[0]),
             "edges_in_s": edges_in_s,
         }
-        try:
-            q_sets, trace = trim_to_separated(
-                s_sets, o_point, max_steps=params.trim_max_steps
-            )
-        except TrimExhaustedError as exc:
-            attempt_stats["outcome"] = f"trim failed: {exc}"
-            attempts.append(attempt_stats)
-            last_error = {"stage": "trim", "message": str(exc)}
-            continue
+        if edges_in_s == math.prod(len(part) for part in subsets):
+            # Complete, so separated already (the lemma above).
+            q_sets, trace = s_sets, TrimTrace((), tuple(map(len, s_sets)))
+        else:
+            try:
+                q_sets, trace = trim_to_separated(
+                    s_sets, o_point, max_steps=params.trim_max_steps
+                )
+            except TrimExhaustedError as exc:
+                attempt_stats["outcome"] = f"trim failed: {exc}"
+                attempts.append(attempt_stats)
+                last_error = {"stage": "trim", "message": str(exc)}
+                continue
         counter = verify_certificate(cfg, o_point, q_sets)
         if counter is not None:
             attempt_stats["outcome"] = (
@@ -349,11 +426,8 @@ def load_report(source) -> dict:
 
 def report_o_and_q(data: dict) -> tuple[Point, list[tuple[Point, ...]]]:
     try:
-        o_point = point([rational(c) for c in data["O"]])
-        q_sets = [
-            tuple(point([rational(c) for c in p]) for p in q)
-            for q in data["Q"]
-        ]
+        o_point = json_point(data["O"])
+        q_sets = [tuple(json_point(p) for p in q) for q in data["Q"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"report missing O/Q fields: {exc}") from exc
     return o_point, q_sets

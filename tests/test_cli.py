@@ -409,3 +409,56 @@ def test_huge_coordinate_exit_3_without_traceback(tmp_path, coordinate):
     err = proc.stderr.splitlines()
     assert len(err) == 1 and "Traceback" not in proc.stderr
     assert json.loads(err[0])["error"] == "budget"
+
+
+# A JSON integer of 1,501 digits (4,983 bits): under Python's digit
+# limit, so it parses, but over MAX_COORDINATE_BITS.
+BIG_JSON_INT = "1" + "0" * 1500
+
+
+def _big_int_check(tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"dimension": 2, "colors": [[[%s, "0"]], [["1", "0"]], [["0", "1"]]]}'
+        % BIG_JSON_INT
+    )
+    return ["check", "--input", str(path)]
+
+
+def _big_int_separate(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text(
+        '{"o": [%s, "0"], "sets": [[["1", "0"]], [["0", "1"]], [["3", "3"]]]}'
+        % BIG_JSON_INT
+    )
+    return ["separate", "--input", str(path)]
+
+
+def _big_int_verify(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    report = tmp_path / "report.json"
+    assert run_cli("gen", "--seed", "0", "--n", "3", "--output", str(cfg)) == EXIT_OK
+    assert run_cli("run", "--input", str(cfg), "--output", str(report)) == EXIT_OK
+    text = report.read_text()
+    o_field = '"O":[' + text.split('"O":[', 1)[1].split("]", 1)[0] + "]"
+    report.write_text(text.replace(o_field, '"O":[%s,"0"]' % BIG_JSON_INT))
+    return ["verify", "--input", str(cfg), "--report", str(report)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [_big_int_check, _big_int_separate, _big_int_verify],
+    ids=["check", "separate", "verify-report"],
+)
+def test_big_json_integer_coordinate_exit_3(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rainbowdepth.cli", *argv(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_BUDGET
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and "Traceback" not in proc.stderr
+    assert json.loads(err[0])["error"] == "budget"
+    assert "integer coordinate" in json.loads(err[0])["message"]

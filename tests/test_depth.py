@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -20,7 +21,12 @@ from rainbowdepth import (
     rainbow_depth_at,
     theoretical_constants,
 )
-from rainbowdepth.depth import _cell_points, _depth_only, counting_inequality_diagnostic
+from rainbowdepth.depth import (
+    _cell_points,
+    _depth_only,
+    _frame,
+    counting_inequality_diagnostic,
+)
 from rainbowdepth.geometry import affine_image, integer_scaled, primitive_direction
 
 
@@ -190,7 +196,9 @@ def assert_depth_matches_oracle(cfg, p):
     candidates with and the table scan of `rainbow_depth_at`, agree with
     the brute-force oracle, ambiguity included."""
     expected = brute_force_depth(cfg, p)
-    assert _depth_only(cfg, p) == (None if expected is None else len(expected))
+    assert _depth_only(cfg, *_frame(cfg, p)) == (
+        None if expected is None else len(expected)
+    )
     if expected is None:
         with pytest.raises(InputError, match="spanned"):
             rainbow_depth_at(cfg, p)
@@ -329,11 +337,14 @@ def arrangement_cell_points(points):
 def assert_exact_arrangement_matches_oracle(cfg):
     """Same maximum depth as the ray-shot oracle; every candidate of the
     closed-form step is unambiguous; the witness recounts to its depth."""
-    depths = [_depth_only(cfg, p) for p in _cell_points(cfg)]
+    depths = [_depth_only(cfg, den, num) for den, num in _cell_points(cfg)]
     assert None not in depths
     oracle = max(
         d
-        for d in (_depth_only(cfg, p) for p in arrangement_cell_points(cfg.all_points()))
+        for d in (
+            _depth_only(cfg, *_frame(cfg, p))
+            for p in arrangement_cell_points(cfg.all_points())
+        )
         if d is not None
     )
     res = deepest_point(cfg, "exact-arrangement")
@@ -357,3 +368,89 @@ def test_exact_arrangement_matches_ray_shot_oracle(seed, n, distribution):
 
 def test_exact_arrangement_hexagon_matches_oracle():
     assert_exact_arrangement_matches_oracle(hexagon_config())
+
+
+# --- Fraction candidate-sampling oracle --------------------------------------
+# The former candidate generator and scoring loop, on Fraction points:
+# centroids k * (sum of the vertices), then random points lo + (hi - lo) * r
+# on a 1/9973 grid, each scored by `rainbow_depth_at`.
+
+
+def fraction_sampling_candidates(cfg, seed, centroid_budget, random_budget):
+    d = cfg.dimension
+    n = cfg.n
+    total = n ** (d + 1)
+    rng = random.Random(f"deepest:{seed}")
+    if total <= centroid_budget:
+        index_tuples = itertools.product(range(n), repeat=d + 1)
+    else:
+        index_tuples = (
+            tuple(rng.randrange(n) for _ in range(d + 1))
+            for _ in range(centroid_budget)
+        )
+    k = Fraction(1, d + 1)
+    for idx in index_tuples:
+        verts = [cfg.colors[i][idx[i]] for i in range(d + 1)]
+        yield tuple(k * sum(v[j] for v in verts) for j in range(d))
+    union = cfg.all_points()
+    lo = [min(p[j] for p in union) for j in range(d)]
+    hi = [max(p[j] for p in union) for j in range(d)]
+    den = 9973
+    for _ in range(random_budget):
+        yield tuple(
+            lo[j] + (hi[j] - lo[j]) * Fraction(rng.randrange(den + 1), den)
+            for j in range(d)
+        )
+
+
+def fraction_deepest_point(cfg, seed, centroid_budget, random_budget):
+    """(witness, depth, candidates examined); None when no candidate is
+    unambiguous."""
+    best_depth, best_point, examined = -1, None, 0
+    for cand in fraction_sampling_candidates(
+        cfg, seed, centroid_budget, random_budget
+    ):
+        examined += 1
+        try:
+            depth = rainbow_depth_at(cfg, cand).count
+        except InputError:
+            continue  # on a spanned hyperplane
+        if depth > best_depth or (depth == best_depth and cand < best_point):
+            best_depth, best_point = depth, cand
+    return None if best_point is None else (best_point, best_depth, examined)
+
+
+def assert_sampling_matches_oracle(cfg, seed, centroid_budget, random_budget):
+    expected = fraction_deepest_point(cfg, seed, centroid_budget, random_budget)
+    if expected is None:
+        with pytest.raises(InputError, match="no valid candidate"):
+            deepest_point(cfg, "candidate-sampling", seed, centroid_budget, random_budget)
+        return
+    res = deepest_point(cfg, "candidate-sampling", seed, centroid_budget, random_budget)
+    assert (res.witness, res.depth, res.candidates_examined) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.sampled_from(range(1, 8)),
+    distribution=st.sampled_from(
+        ["uniform-box", "gaussian", "moment-curve-perturbed"]
+    ),
+    sampled=st.booleans(),
+    random_budget=st.sampled_from([0, 1, 50]),
+    data=st.data(),
+)
+def test_candidate_sampling_matches_fraction_oracle(
+    seed, n, distribution, sampled, random_budget, data
+):
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    # below n^3 the centroids are drawn at random, else all are scored
+    centroid_budget = data.draw(st.integers(0, n**3 - 1)) if sampled else n**3
+    assert_sampling_matches_oracle(cfg, seed, centroid_budget, random_budget)
+
+
+def test_candidate_sampling_matches_fraction_oracle_d3():
+    cfg = generate(GeneratorSpec(seed=4, n=2, d=3))
+    assert_sampling_matches_oracle(cfg, 4, 20000, 50)
+    assert_sampling_matches_oracle(cfg, 4, 7, 1)

@@ -1,22 +1,28 @@
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rainbowdepth import (
     BudgetExceededError,
     GeneratorSpec,
     InputError,
     PipelineParams,
+    PipelineStageError,
     all_or_none_check,
     configuration,
     generate,
     point,
     report_bytes,
     run_pipeline,
+    trim_to_separated,
     verify_certificate,
 )
+from rainbowdepth.geometry import is_unambiguous, point_in_simplex_interior
 from rainbowdepth.pipeline import load_report, report_o_and_q
 
 DATA = Path(__file__).parent / "data"
@@ -130,6 +136,62 @@ def test_verified_bundles_pass_independent_oracle():
         assert verify_certificate(cfg, bundle.o_point, bundle.q_sets) is None
 
 
+def first_missing_tuple(o_point, q_sets):
+    """Oracle: the first index tuple, in product order, whose rainbow
+    simplex does not strictly contain O, by `point_in_simplex_interior`."""
+    for choice in itertools.product(*[range(len(q)) for q in q_sets]):
+        verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
+        if not point_in_simplex_interior(o_point, verts):
+            return choice
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.sampled_from(range(1, 8)),
+    distribution=st.sampled_from(
+        ["uniform-box", "gaussian", "moment-curve-perturbed"]
+    ),
+    kind=st.sampled_from(["deep", "random", "outside"]),
+    data=st.data(),
+)
+def test_verify_matches_simplex_oracle(seed, n, distribution, kind, data):
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    pools = cfg.colors
+    if kind == "deep":
+        bundle = run_pipeline(cfg, PipelineParams(seed=seed, random_budget=50))
+        o_point = bundle.o_point
+        if data.draw(st.booleans()):
+            pools = bundle.q_sets  # subsets of a certified Q verify
+    elif kind == "random":
+        # an affine combination with large denominators
+        weight = st.fractions(-1, 2, max_denominator=10**30)
+        t, r = data.draw(weight), data.draw(weight)
+        u, v, w = (cls[0] for cls in cfg.colors)
+        o_point = tuple(a + t * (b - a) + r * (c - a) for a, b, c in zip(u, v, w))
+    else:
+        # right of every point, so no rainbow triangle contains it
+        right = max(p[0] for p in cfg.all_points())
+        dx = data.draw(st.fractions(0, 10, max_denominator=97).filter(bool))
+        y = data.draw(st.fractions(-(10**4), 10**4, max_denominator=97))
+        o_point = (right + dx, y)
+    assume(is_unambiguous(cfg.colors, o_point))
+    q_sets = []
+    for pool in pools:
+        order = data.draw(st.permutations(pool))
+        q_sets.append(tuple(order[: data.draw(st.integers(1, len(pool)))]))
+    counter = verify_certificate(cfg, o_point, q_sets)
+    expected = first_missing_tuple(o_point, q_sets)
+    if expected is None:
+        assert counter is None
+    else:
+        assert counter.index_tuple == expected
+        assert counter.vertices == tuple(q[j] for q, j in zip(q_sets, expected))
+    if kind == "outside":
+        assert expected == (0, 0, 0)
+
+
 FAR_DIRECTIONS = [
     (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1),
     (2, 1), (-2, 1), (2, -1), (-2, -1), (1, 2), (-1, 2), (1, -2), (-1, -2),
@@ -192,3 +254,34 @@ def test_load_report_rejects_bad_schema():
         load_report(b"[1]")
     with pytest.raises(InputError):
         load_report(b'{"schema_version": 1, "O": ["\xff"]}')
+
+
+def test_trim_runs_only_for_incomplete_s(monkeypatch):
+    """A complete S is kept whole without calling the trim; an
+    incomplete one (here S = P, as the extraction's only candidate) is
+    trimmed."""
+    import rainbowdepth.pipeline as pipeline
+
+    calls = []
+
+    def spy(sets, o_point, max_steps):
+        calls.append(sets)
+        return trim_to_separated(sets, o_point, max_steps=max_steps)
+
+    monkeypatch.setattr(pipeline, "trim_to_separated", spy)
+    cfg = generate(GeneratorSpec(seed=1, n=6, d=2))
+    bundle = run_pipeline(cfg, PipelineParams(seed=1))
+    attempt = bundle.stats["attempts"][-1]
+    assert attempt["edges_in_s"] == attempt["s"] ** 3 and calls == []
+    assert bundle.trace.step_count == 0 and bundle.sizes == (attempt["s"],) * 3
+
+    def whole(h, epsilon, params):
+        yield "exact", [tuple(range(cfg.n))] * 3
+
+    monkeypatch.setattr(pipeline, "_extraction_candidates", whole)
+    assert bundle.depth_at_o < cfg.n**3
+    with pytest.raises(PipelineStageError) as info:
+        run_pipeline(cfg, PipelineParams(seed=1))
+    assert calls == [list(cfg.colors)]
+    # here the trimmed Q does not verify, so the one attempt ends there
+    assert info.value.details["stage"] == "verify"

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rainbowdepth import (
     GeneratorSpec,
@@ -19,7 +22,13 @@ from rainbowdepth import (
     strictly_separating_hyperplane,
     trim_to_separated,
 )
-from rainbowdepth.geometry import affine_image, convex_hull_2d
+from rainbowdepth.geometry import (
+    affine_image,
+    convex_hull_2d,
+    is_unambiguous,
+    point_in_simplex_interior,
+)
+from rainbowdepth.separation import TrimTrace
 from tests.conftest import random_rational_point
 
 
@@ -326,3 +335,65 @@ def test_trim_accepts_o_collinear_with_one_set():
         assert all(set(qi) <= set(si) for qi, si in zip(q, sets))
         steps += trace.step_count
     assert steps > 0  # the generated cases exercise the cutting loop
+
+
+def complete_boxes(cfg, o_point):
+    """Every box S_1 x S_2 x S_3 of equal-size index sets, s = n down
+    to 1, whose rainbow triangles all strictly contain O, by brute force."""
+    n = cfg.n
+    inside = {
+        idx
+        for idx in itertools.product(range(n), repeat=3)
+        if point_in_simplex_interior(
+            o_point, [cfg.colors[i][idx[i]] for i in range(3)]
+        )
+    }
+    for s in range(n, 0, -1):
+        for box in itertools.product(itertools.combinations(range(n), s), repeat=3):
+            if all(idx in inside for idx in itertools.product(*box)):
+                yield box
+
+
+@settings(max_examples=25, deadline=None)
+@example(
+    seed=0, n=5, distribution="uniform-box", deepest=True, weights=(0, 0)
+)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.sampled_from(range(1, 6)),
+    distribution=st.sampled_from(
+        ["uniform-box", "gaussian", "moment-curve-perturbed"]
+    ),
+    deepest=st.booleans(),
+    weights=st.tuples(
+        st.fractions(0, 1, max_denominator=10**12),
+        st.fractions(0, 1, max_denominator=10**12),
+    ),
+)
+def test_complete_box_is_separated(seed, n, distribution, deepest, weights):
+    """The lemma that lets the pipeline skip the trim: if every rainbow
+    triangle on S strictly contains O, then {O} and the hulls of S are a
+    separated family."""
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    if deepest:
+        o_point = deepest_point(cfg, seed=seed).witness
+    else:
+        # a random affine combination of the first point of each class
+        t, r = weights
+        u, v, w = (cls[0] for cls in cfg.colors)
+        o_point = tuple(a + t * (b - a) + r * (c - a) for a, b, c in zip(u, v, w))
+        assume(is_unambiguous(cfg.colors, o_point))
+    # A box inside a separated box is separated (its hulls shrink), so
+    # only a box in no box checked before needs the LP check.
+    separated = []
+    for box in complete_boxes(cfg, o_point):
+        if any(all(set(a) <= set(b) for a, b in zip(box, big)) for big in separated):
+            continue
+        sets = [[cfg.colors[i][j] for j in box[i]] for i in range(3)]
+        assert is_separated_family([[o_point]] + sets) is None, box
+        if not separated:
+            # the largest: the trim keeps it whole, as `run_pipeline` does
+            q, trace = trim_to_separated(sets, o_point)
+            assert [list(qi) for qi in q] == sets
+            assert trace == TrimTrace((), tuple(len(si) for si in sets))
+        separated.append(box)
