@@ -6,14 +6,18 @@ unambiguous: p lies on no hyperplane spanned by d points of pairwise
 distinct colors (in the plane, on no line through two differently
 colored points); same-color collinearity is allowed.
 
-In the plane, candidates are scored by an exact integer angular sweep:
-a rainbow triangle misses p exactly when one vertex v sees the other
-two inside the open half-turn counter-clockwise from v, so
-depth = n^3 - sum over v of c_j(v)*c_k(v), in O(N log N) for N = 3n
-points.  The containing tuples themselves, needed only at the final
-point, come from an n^3 scan of the pair sign table; the pipeline
-compares the two counts on every run.  In higher dimension every
-rainbow simplex is tested directly.
+In the plane, depth is the Rousseeuw-Ruts angular count: a rainbow
+triangle misses p exactly when one vertex v sees the other two inside
+the open half-turn counter-clockwise from v, so
+depth = n^3 - sum over v of c_a(v)*c_b(v).  Each term depends only on
+the sector of v's fan of 4n directions +-(q - v), q of the other two
+colors, that holds p - v; the fans and their per-sector products are
+built once per configuration (`_fans`), and a candidate costs one
+`bisect` per configuration point (`_depth_fan`), stopping as soon as it
+cannot reach the best depth so far.  The containing tuples themselves,
+needed only at the final point, come from an n^3 scan of the pair sign
+table; the pipeline compares the two counts on every run.  In higher
+dimension every rainbow simplex is tested directly.
 
 `deepest_point` realizes, by search, the existence of a point
 contained in many rainbow simplices; the fractional-Helly machinery
@@ -43,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -169,78 +174,113 @@ def _depth_plane(
 _OTHER_COLORS = ((1, 2), (0, 2), (0, 1))
 
 
-def _angle_keys(vectors, k: int) -> list[tuple[int, int]]:
-    """Exact counter-clockwise sort keys of nonzero integer vectors from
-    the positive x-axis: half-turn, then the cotangent -x/y floored at
-    resolution 1/k.  Distinct cotangents differ by at least
-    1/(|y1|*|y2|), so with k >= |y1|*|y2| the floors order them strictly
-    and equal directions get equal keys."""
-    return [
-        (1, (-x * k) // y) if y > 0
-        else (3, (-x * k) // y) if y < 0
-        else (0, 0) if x > 0
-        else (2, 0)
-        for x, y in vectors
-    ]
+def _turn_key(x: int, y: int, k: int, h: int) -> int:
+    """Exact counter-clockwise sort key of a nonzero integer vector from
+    the positive x-axis, on a turn of length [0, 8h): the upper
+    half-plane maps into (h, 3h), the lower one into (5h, 7h), and
+    within a half the key is the cotangent -x/y floored at resolution
+    1/k, clamped to (-h, h).
+
+    Distinct cotangents differ by at least 1/(|y1|*|y2|), so among
+    vectors with k >= |y1|*|y2| and |x|*k < h - 1 the keys order
+    strictly and equal directions get equal keys.  The key of any other
+    vector, clamped or not, may equal one of theirs (a cross product
+    then decides) but never lies on the wrong side of one."""
+    if not y:
+        return 0 if x > 0 else 4 * h
+    cot = (-x * k) // y
+    if cot <= -h:
+        cot = 1 - h
+    elif cot >= h:
+        cot = h - 1
+    return (2 * h if y > 0 else 6 * h) + cot
 
 
-def _depth_sweep(cfg: ColoredConfiguration, den: int, num) -> int | None:
-    """Planar rainbow depth of p = num/den in the integer frame (den > 0,
-    not necessarily in lowest terms) by an angular sweep, O(N log N).
+# Per-vertex fans of one planar configuration: (k, h, vertices) with one
+# (vx, vy, keys, dirs, products) per configuration point v.
+Fans = tuple[
+    int, int, list[tuple[int, int, list[int], list[tuple[int, int]], list[int]]]
+]
+
+
+def _fans(cfg: ColoredConfiguration) -> Fans:
+    """The candidate-independent half of the planar depth count.
 
     A rainbow triangle misses p exactly when one vertex v sees the other
-    two inside the open half-turn counter-clockwise from v, and then
-    only one vertex does.  So depth = n^3 - sum over v of c_j(v)*c_k(v),
-    where c_j(v) counts the points of each other color j strictly inside
-    that half-turn.  None under the rule of `pair_sign_table`: p is a
-    configuration point, or two points of different colors lie on one
-    line through p (same ray or opposite rays).
+    two inside the open half-turn counter-clockwise from v, as seen from
+    p, and then only one vertex does.  So depth = n^3 - sum over v of
+    c_a(v)*c_b(v), where c_j(v) counts the points q of each other color
+    j with cross(v - p, q - p) = cross(q - v, p - v) > 0.  Around v that
+    count changes only where p - v crosses a direction +-(q - v), so the
+    4n such directions (pairwise distinct, by general position) cut the
+    turn around v into sectors of constant c_a(v)*c_b(v).  Each fan
+    holds the directions in counter-clockwise order with their
+    `_turn_key`, and per sector, between dirs[i] and dirs[i+1]
+    (cyclically), the product, counted at the direction dirs[i] +
+    dirs[i+1] strictly inside it.
     """
+    pts, n = cfg.int_points, cfg.n
+    big = max(
+        max(p[j] for p in pts) - min(p[j] for p in pts) for j in range(2)
+    )
+    k, h = big * big, big**3 + 2
+    vertices = []
+    for (vx, vy), c in zip(pts, cfg.point_colors):
+        rel_a, rel_b = (
+            [(qx - vx, qy - vy) for qx, qy in pts[j * n : (j + 1) * n]]
+            for j in _OTHER_COLORS[c]
+        )
+        keyed = sorted(
+            (_turn_key(x, y, k, h), (x, y))
+            for rx, ry in rel_a + rel_b
+            for x, y in ((rx, ry), (-rx, -ry))
+        )
+        keys = [key for key, _ in keyed]
+        dirs = [d for _, d in keyed]
+        products = []
+        for (ux, uy), (wx, wy) in zip(dirs, dirs[1:] + dirs[:1]):
+            sx, sy = ux + wx, uy + wy
+            ca = sum(1 for x, y in rel_a if x * sy - y * sx > 0)
+            cb = sum(1 for x, y in rel_b if x * sy - y * sx > 0)
+            products.append(ca * cb)
+        vertices.append((vx, vy, keys, dirs, products))
+    return k, h, vertices
+
+
+def _depth_fan(fans: Fans, n3: int, den: int, num, limit: int) -> int | None:
+    """Planar rainbow depth n3 - outside of p = num/den in the integer
+    frame (den > 0, not necessarily in lowest terms), where outside sums,
+    per configuration point v, the product of the sector of v's fan that
+    holds p - v (see `_fans`): one `bisect` per vertex.
+
+    None when p is ambiguous, under the rule of `pair_sign_table`: p is a
+    configuration point, or lies on a line through two points of
+    different colors, so p - v runs along a fan direction.  None as well,
+    possibly before an ambiguity is seen, as soon as outside exceeds
+    `limit`: the depth is returned exactly when n3 - depth <= limit.
+    """
+    k, h, vertices = fans
     px, py = num
-    dx = [den * q[0] - px for q in cfg.int_points]
-    dy = [den * q[1] - py for q in cfg.int_points]
-    if (0, 0) in zip(dx, dy):
-        return None  # p is a configuration point
-    keys = _angle_keys(zip(dx, dy), max(map(abs, dy)) ** 2)
-    items = sorted(zip(keys, dx, dy, cfg.point_colors))
-    # One group per direction; a direction shared across colors means two
-    # differently colored points on one ray from p.
-    gkey, gx, gy, gc, gn = None, [], [], [], []
-    for key, x, y, c in items:
-        if key == gkey:
-            if c != gc[-1]:
-                return None
-            gn[-1] += 1
-            continue
-        gkey = key
-        gx.append(x)
-        gy.append(y)
-        gc.append(c)
-        gn.append(1)
-    m = len(gx)
-    # Sliding window: groups t+1 .. e-1 (cyclic) lie strictly inside the
-    # open half-turn counter-clockwise from group t; cnt counts them by color.
-    cnt = [0, 0, 0]
     outside = 0
-    e = 1
-    for t in range(m):
-        vx, vy, c = gx[t], gy[t], gc[t]
-        e = max(e, t + 1)
-        while e < t + m:
-            w = e % m
-            cross = vx * gy[w] - vy * gx[w]
-            if cross <= 0:
-                if cross == 0 and gc[w] != c:
-                    return None  # opposite rays of two different colors
-                break
-            cnt[gc[w]] += gn[w]
-            e += 1
-        a, b = _OTHER_COLORS[c]
-        outside += gn[t] * cnt[a] * cnt[b]
-        if e > t + 1:
-            w = (t + 1) % m
-            cnt[gc[w]] -= gn[w]
-    return cfg.n**3 - outside
+    for vx, vy, keys, dirs, products in vertices:
+        x = px - den * vx
+        y = py - den * vy
+        if not y and not x:
+            return None  # p is a configuration point
+        key = _turn_key(x, y, k, h)
+        pos = bisect_right(keys, key)
+        if pos and keys[pos - 1] == key:
+            # Same floor as the fan direction below: the cross decides.
+            fx, fy = dirs[pos - 1]
+            cross = fx * y - fy * x
+            if cross == 0:
+                return None  # p - v runs along a bichromatic line
+            if cross < 0:
+                pos -= 1
+        outside += products[pos - 1]
+        if outside > limit:
+            return None
+    return n3 - outside
 
 
 def _depth_general(
@@ -285,14 +325,6 @@ def rainbow_depth_at(cfg: ColoredConfiguration, p: Point) -> RainbowDepth:
     return RainbowDepth(len(tuples), tuple(tuples))
 
 
-def _depth_only(cfg: ColoredConfiguration, den: int, num) -> int | None:
-    """Depth of the framed point num/den, None where it is ambiguous."""
-    if cfg.dimension == 2:
-        return _depth_sweep(cfg, den, num)
-    result = _depth_general(cfg, _unframe(cfg, den, num), collect=False)
-    return None if result is None else result[0]
-
-
 # --- exact arrangement sweep (d = 2) ---------------------------------------
 
 
@@ -329,8 +361,9 @@ def _cell_points(cfg: ColoredConfiguration) -> Iterator[Framed]:
             vertices.setdefault(v, set()).update(
                 ((b1, -a1), (-b1, a1), (b2, -a2), (-b2, a2))
             )
+    resolution = (big * big, big**3 + 2)  # (k, h) of `_turn_key`
     for (vx, vy), dirs in vertices.items():
-        ordered = [u for _, u in sorted(zip(_angle_keys(dirs, big * big), dirs))]
+        ordered = sorted(dirs, key=lambda u: _turn_key(*u, *resolution))
         lcm = math.lcm(vx.denominator, vy.denominator)
         lx = vx.numerator * (lcm // vx.denominator)
         ly = vy.numerator * (lcm // vy.denominator)
@@ -388,10 +421,12 @@ def deepest_point(
     vertex of the bichromatic line arrangement and is exact (d = 2
     only); candidate-sampling is a bounded heuristic.  Both generate
     candidates as integer numerators over a fixed denominator in the
-    configuration's integer frame and score them there; the witness is
-    converted back to Fractions only when it ties or beats the best.
-    Both are deterministic; ties break to the lexicographically smallest
-    witness point.
+    configuration's integer frame and score them there, in the plane
+    against fans built once here, with the walk cut short once a
+    candidate falls below the best depth; the witness is converted back
+    to Fractions only when it ties or beats the best.  Both are
+    deterministic; ties break to the lexicographically smallest witness
+    point.
     """
     if strategy == "exact-arrangement":
         if cfg.dimension != 2:
@@ -404,14 +439,22 @@ def deepest_point(
     else:
         raise InputError(f"unknown strategy {strategy!r}")
 
+    n_rainbow = cfg.n ** (cfg.dimension + 1)
+    fans = _fans(cfg) if cfg.dimension == 2 else None
     best_depth = -1
     best_point: Point | None = None
     examined = 0
     for den, num in candidates:
         examined += 1
-        depth = _depth_only(cfg, den, num)
+        if fans is not None:
+            # Stop once the candidate cannot reach the best; a tie is
+            # still scored in full.
+            depth = _depth_fan(fans, n_rainbow, den, num, n_rainbow - best_depth)
+        else:
+            result = _depth_general(cfg, _unframe(cfg, den, num), collect=False)
+            depth = None if result is None else result[0]
         if depth is None or depth < best_depth:
-            continue  # None: on a spanned hyperplane, ambiguous
+            continue  # None: ambiguous, or below the best
         # Only a candidate that reaches the incumbent becomes a Fraction
         # point, for the lexicographic tie-break.
         cand = _unframe(cfg, den, num)

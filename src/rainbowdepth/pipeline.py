@@ -312,6 +312,10 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
     epsilon = params.resolve_epsilon(d)
     if params.max_retries < 0:
         raise InputError(f"max_retries must be >= 0, got {params.max_retries}")
+    if params.trim_max_steps < 0:
+        raise InputError(
+            f"trim_max_steps must be >= 0, got {params.trim_max_steps}"
+        )
     input_hash = configuration_hash(cfg)
 
     deep = deepest_point(

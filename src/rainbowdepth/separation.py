@@ -404,8 +404,11 @@ def trim_to_separated(
     may be collinear with two points of one set, not of two sets.
 
     Errors (with the partial trace attached) when a set would empty,
-    when a step makes no progress, or after max_steps.
+    when a step makes no progress, or when max_steps cuts leave the
+    family unseparated; max_steps < 0 is an input error.
     """
+    if max_steps < 0:
+        raise InputError(f"max_steps must be >= 0, got {max_steps}")
     o_point = point(o_point)
     if len(o_point) != 2:
         raise UnsupportedDimensionError("trimming implemented for dimension 2")
@@ -457,7 +460,8 @@ def trim_to_separated(
             discarded.append(drop)
         return kept, discarded
 
-    for _ in range(max_steps):
+    # One separation check per step, and one after the last allowed cut.
+    for step in range(max_steps + 1):
         witness = is_separated_family(bodies())
         if witness is None:
             final_sizes = tuple(len(c) for c in current)
@@ -466,6 +470,8 @@ def trim_to_separated(
                 tuple(sets[i][j] for j in current[i]) for i in range(len(sets))
             ]
             return q_sets, trace
+        if step == max_steps:
+            break
         combo, group = witness.tuple_indices, witness.split
         rest = tuple(i for i in combo if i not in group)
         # The designated set's group keeps the "above" side; the other

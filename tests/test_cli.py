@@ -1,8 +1,12 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowdepth import (
     GeneratorSpec,
@@ -282,6 +286,24 @@ def test_separate_command(tmp_path, capsys):
     assert "trace" in out and len(out["q"]) == 3
 
 
+SEPARATED_STATE = {"o": ["3", "3"], "sets": [[["0", "0"]], [["10", "0"]], [["0", "10"]]]}
+
+
+@pytest.mark.parametrize(
+    "max_steps, expected", [("0", EXIT_OK), ("1", EXIT_OK), ("-1", EXIT_INPUT)]
+)
+def test_separate_max_steps(tmp_path, capsys, max_steps, expected):
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(SEPARATED_STATE))
+    assert run_cli("separate", "--input", str(path), "--max-steps", max_steps) == expected
+    if expected == EXIT_OK:
+        out = json.loads(capsys.readouterr().out)
+        assert out["q"] == SEPARATED_STATE["sets"]
+        assert out["trace"]["step_count"] == 0
+    else:
+        assert _one_json_error(capsys)["error"] == "input"
+
+
 def test_run_paper_epsilon(cfg_path, tmp_path):
     report = tmp_path / "report.json"
     assert (
@@ -462,3 +484,150 @@ def test_big_json_integer_coordinate_exit_3(tmp_path, argv):
     assert len(err) == 1 and "Traceback" not in proc.stderr
     assert json.loads(err[0])["error"] == "budget"
     assert "integer coordinate" in json.loads(err[0])["message"]
+
+
+# --- fuzzing the input files of every reading subcommand ---------------------
+
+_coordinate = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", "-7/3", "10", "1e3", "0.25", "1/0", "x", ""]),
+    st.integers(-20, 20),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+)
+_json_point = st.lists(_coordinate, max_size=3)
+_json_points = st.lists(_json_point, max_size=3)
+# Planar points and classes that often pass validation, so the fuzz
+# reaches the stages behind the readers.
+_plane_point = st.lists(
+    st.integers(-20, 20) | st.sampled_from(["1/2", "-7/3", "10", "0.25"]),
+    min_size=2,
+    max_size=2,
+)
+_plane_classes = st.integers(1, 3).flatmap(
+    lambda n: st.lists(
+        st.lists(_plane_point, min_size=n, max_size=n), min_size=3, max_size=3
+    )
+)
+_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=4)
+)
+_any_json = st.recursive(
+    _scalar,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["dimension", "colors", "o", "sets", "part_sizes", "edges", "O", "Q"])
+        | st.text(max_size=3),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=10,
+)
+_hypergraph = st.lists(st.integers(1, 3), min_size=2, max_size=4).flatmap(
+    lambda sizes: st.fixed_dictionaries(
+        {
+            "part_sizes": st.just(sizes),
+            "edges": st.lists(
+                st.tuples(*(st.integers(0, size - 1) for size in sizes)), max_size=12
+            ),
+        }
+    )
+)
+_shaped_json = st.one_of(
+    st.fixed_dictionaries({"dimension": st.just(2), "colors": _plane_classes}),
+    st.fixed_dictionaries({"o": _plane_point, "sets": _plane_classes}),
+    _hypergraph,
+    st.fixed_dictionaries(
+        {
+            "dimension": st.sampled_from([2, 1, 0, -1, "2", 2.5, True, None]),
+            "colors": st.lists(_json_points, max_size=4),
+        }
+    ),
+    st.fixed_dictionaries({"o": _json_point, "sets": st.lists(_json_points, max_size=4)}),
+    st.fixed_dictionaries(
+        {
+            "part_sizes": st.lists(
+                st.integers(-1, 4) | st.sampled_from(["2", 2.0, None, True]), max_size=4
+            ),
+            "edges": st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=6),
+        }
+    ),
+    st.fixed_dictionaries(
+        {
+            "schema_version": st.sampled_from([1, 1, 2, "1", None]),
+            "O": _json_point,
+            "Q": st.lists(_json_points, max_size=4),
+        },
+        optional={
+            "sizes": _any_json,
+            "ratios": _any_json,
+            "depth": _any_json,
+            "input_hash": _any_json,
+        },
+    ),
+)
+_payload = st.one_of(
+    st.binary(max_size=64),
+    (_shaped_json | _any_json).map(lambda value: json.dumps(value).encode()),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A working directory with one valid n = 3 configuration and its
+    report, for `verify` fuzzing that gets past the first reader."""
+    path = tmp_path_factory.mktemp("fuzz")
+    cfg, report = path / "cfg.json", path / "report.json"
+    assert run_cli("gen", "--seed", "0", "--n", "3", "--output", str(cfg)) == EXIT_OK
+    assert run_cli("run", "--input", str(cfg), "--output", str(report)) == EXIT_OK
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    command=st.sampled_from(
+        ["check", "depth", "tverberg", "densify", "separate", "run", "verify"]
+    ),
+    payload=_payload,
+    report=st.one_of(
+        _payload,
+        st.none(),
+        st.tuples(
+            st.sampled_from(["O", "Q", "sizes", "ratios", "depth"]),
+            _any_json | _plane_point | _plane_classes,
+        ),
+    ),
+    valid_cfg=st.booleans(),
+)
+def test_cli_fuzz_exit_codes_and_one_json_error_line(
+    fuzz_dir, command, payload, report, valid_cfg
+):
+    """Arbitrary bytes and JSON-shaped values as input files, in
+    process: an exit code in {0, 1, 2, 3}, at most one stderr line and
+    that one a JSON object, and no exception out of `cli_main`."""
+    path = fuzz_dir / "input"
+    path.write_bytes(payload)
+    argv = [command, "--input", str(path)]
+    if command == "tverberg":
+        argv += ["--k", "2"]
+    elif command == "verify":
+        if valid_cfg:
+            argv[2] = str(fuzz_dir / "cfg.json")
+        if not isinstance(report, bytes):
+            # the valid report, or it with one field replaced
+            data = json.loads((fuzz_dir / "report.json").read_text())
+            if report is not None:
+                data[report[0]] = report[1]
+            report = json.dumps(data).encode()
+        report_path = fuzz_dir / "fuzzed-report"
+        report_path.write_bytes(report)
+        argv += ["--report", str(report_path)]
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_main(argv)
+    assert code in (EXIT_OK, EXIT_VERIFICATION, EXIT_INPUT, EXIT_BUDGET)
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1
+    if lines:
+        assert isinstance(json.loads(lines[0]), dict)

@@ -22,9 +22,12 @@ from rainbowdepth import (
     theoretical_constants,
 )
 from rainbowdepth.depth import (
+    _OTHER_COLORS,
     _cell_points,
-    _depth_only,
+    _depth_fan,
+    _fans,
     _frame,
+    _turn_key,
     counting_inequality_diagnostic,
 )
 from rainbowdepth.geometry import affine_image, integer_scaled, primitive_direction
@@ -191,14 +194,84 @@ def brute_force_depth(cfg, p):
     )
 
 
-def assert_depth_matches_oracle(cfg, p):
-    """Both counters, the angular sweep that `deepest_point` scores
-    candidates with and the table scan of `rainbow_depth_at`, agree with
-    the brute-force oracle, ambiguity included."""
-    expected = brute_force_depth(cfg, p)
-    assert _depth_only(cfg, *_frame(cfg, p)) == (
-        None if expected is None else len(expected)
+# --- angular sweep oracle ----------------------------------------------------
+# The former per-candidate planar depth counter: one exact angular sort of
+# all N points around p and a sliding half-turn window, O(N log N).
+
+
+def _angular_cmp(u, w):
+    def half(v):
+        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
+
+    hu, hw = half(u), half(w)
+    if hu != hw:
+        return -1 if hu < hw else 1
+    cross = u[0] * w[1] - u[1] * w[0]
+    return 0 if cross == 0 else (-1 if cross > 0 else 1)
+
+
+def depth_sweep(cfg, den, num):
+    """Planar rainbow depth of p = num/den in the integer frame, None
+    where p is ambiguous.  A rainbow triangle misses p exactly when one
+    vertex v sees the other two inside the open half-turn
+    counter-clockwise from v, and then only one vertex does, so
+    depth = n^3 - sum over v of c_j(v)*c_k(v)."""
+    px, py = num
+    vecs = [(den * x - px, den * y - py) for x, y in cfg.int_points]
+    if (0, 0) in vecs:
+        return None  # p is a configuration point
+    items = sorted(
+        zip(vecs, cfg.point_colors),
+        key=cmp_to_key(lambda a, b: _angular_cmp(a[0], b[0]) or a[1] - b[1]),
     )
+    # One group per direction; a direction shared across colors means two
+    # differently colored points on one ray from p.
+    gv, gc, gn = [], [], []
+    for v, c in items:
+        if gv and _angular_cmp(gv[-1], v) == 0:
+            if c != gc[-1]:
+                return None
+            gn[-1] += 1
+            continue
+        gv.append(v)
+        gc.append(c)
+        gn.append(1)
+    m = len(gv)
+    # Sliding window: groups t+1 .. e-1 (cyclic) lie strictly inside the
+    # open half-turn counter-clockwise from group t; cnt counts them by color.
+    cnt = [0, 0, 0]
+    outside = 0
+    e = 1
+    for t in range(m):
+        (vx, vy), c = gv[t], gc[t]
+        e = max(e, t + 1)
+        while e < t + m:
+            w = e % m
+            cross = vx * gv[w][1] - vy * gv[w][0]
+            if cross <= 0:
+                if cross == 0 and gc[w] != c:
+                    return None  # opposite rays of two different colors
+                break
+            cnt[gc[w]] += gn[w]
+            e += 1
+        a, b = _OTHER_COLORS[c]
+        outside += gn[t] * cnt[a] * cnt[b]
+        if e > t + 1:
+            w = (t + 1) % m
+            cnt[gc[w]] -= gn[w]
+    return cfg.n**3 - outside
+
+
+def assert_depth_matches_oracle(cfg, p, fans=None):
+    """Both counters, the fan bisection that `deepest_point` scores
+    candidates with and the table scan of `rainbow_depth_at`, agree with
+    the angular sweep and the brute-force oracle, ambiguity included.
+    `fans`, when given, is `_fans(cfg)`, built once per configuration."""
+    expected = brute_force_depth(cfg, p)
+    count = None if expected is None else len(expected)
+    assert depth_sweep(cfg, *_frame(cfg, p)) == count
+    n3 = cfg.n**3  # a limit above n^3: no early exit
+    assert _depth_fan(fans or _fans(cfg), n3, *_frame(cfg, p), n3 + 1) == count
     if expected is None:
         with pytest.raises(InputError, match="spanned"):
             rainbow_depth_at(cfg, p)
@@ -213,33 +286,39 @@ def assert_depth_matches_oracle(cfg, p):
 # the configuration, with denominators far beyond its own.
 weight = st.fractions(-2, 3, max_denominator=10**36)
 unit_weight = st.fractions(0, 1, max_denominator=10**36)
+distributions = st.sampled_from(["uniform-box", "gaussian", "moment-curve-perturbed"])
+
+
+def draw_candidate(cfg, kind, data):
+    """A point free inside the configuration's hull, on the line through
+    two points of one color or of two, or a configuration point."""
+    n = cfg.n
+    index = st.integers(0, n - 1)
+    if kind == "free":
+        u, v, w = (cfg.colors[c][data.draw(index)] for c in range(3))
+        t, r = data.draw(unit_weight), data.draw(unit_weight)
+        return tuple(a + t * (b - a) + r * (c - a) for a, b, c in zip(u, v, w))
+    c1 = data.draw(st.integers(0, 2))
+    if kind == "point":
+        return cfg.colors[c1][data.draw(index)]
+    c2 = c1 if kind == "same-color" else (c1 + data.draw(st.integers(1, 2))) % 3
+    i, j = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    u, v = cfg.colors[c1][i], cfg.colors[c2][j]
+    t = data.draw(weight)
+    return tuple(a + t * (b - a) for a, b in zip(u, v))
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     seed=st.integers(0, 2**32),
     n=st.integers(2, 7),
-    distribution=st.sampled_from(
-        ["uniform-box", "gaussian", "moment-curve-perturbed"]
-    ),
+    distribution=distributions,
     kind=st.sampled_from(["free", "same-color", "cross-color"]),
     data=st.data(),
 )
 def test_planar_depth_matches_brute_force(seed, n, distribution, kind, data):
     cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
-    index = st.integers(0, n - 1)
-    if kind == "free":
-        u, v, w = (cfg.colors[c][data.draw(index)] for c in range(3))
-        t, r = data.draw(unit_weight), data.draw(unit_weight)
-        p = tuple(a + t * (b - a) + r * (c - a) for a, b, c in zip(u, v, w))
-    else:
-        # p on the line through two points, of one color or of two
-        c1 = data.draw(st.integers(0, 2))
-        c2 = c1 if kind == "same-color" else (c1 + data.draw(st.integers(1, 2))) % 3
-        i, j = data.draw(st.lists(index, min_size=2, max_size=2, unique=True))
-        u, v = cfg.colors[c1][i], cfg.colors[c2][j]
-        t = data.draw(weight)
-        p = tuple(a + t * (b - a) for a, b in zip(u, v))
+    p = draw_candidate(cfg, kind, data)
     if kind == "same-color":
         # p may also sit on a two-colored line
         assume(brute_force_depth(cfg, p) is not None)
@@ -248,13 +327,93 @@ def test_planar_depth_matches_brute_force(seed, n, distribution, kind, data):
         assert expected is None
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 6),
+    distribution=distributions,
+    kinds=st.lists(
+        st.sampled_from(["free", "same-color", "cross-color", "point"]),
+        min_size=1,
+        max_size=4,
+    ),
+    data=st.data(),
+)
+def test_depth_fan_matches_sweep_and_brute_force(seed, n, distribution, kinds, data):
+    """The fan bisection against the sweep and brute force on several
+    candidates of one configuration, sharing its fans; with a random
+    limit it returns the depth exactly when n^3 - depth <= limit."""
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    fans = _fans(cfg)
+    n3 = n**3
+    for kind in kinds:
+        if n == 1 and kind in ("same-color", "cross-color"):
+            kind = "point"  # no two points of one color
+        p = draw_candidate(cfg, kind, data)
+        expected = assert_depth_matches_oracle(cfg, p, fans)
+        if kind in ("cross-color", "point"):
+            assert expected is None
+        limit = data.draw(st.integers(-1, n3 + 1))
+        got = _depth_fan(fans, n3, *_frame(cfg, p), limit)
+        if expected is not None and n3 - len(expected) <= limit:
+            assert got == len(expected)
+        else:
+            assert got is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    vectors=st.lists(
+        st.tuples(st.integers(-50, 50), st.integers(-50, 50)).filter(any),
+        min_size=2,
+        max_size=8,
+    ),
+    stretch=st.integers(1, 10**40),
+)
+def test_turn_key_orders_like_angles(vectors, stretch):
+    """Keys of vectors within the resolution order strictly by angle
+    and agree on equal directions; a long vector beside one of them,
+    clamped or not, compares with every one as its direction does."""
+    k, h = 50 * 50, 50**3 + 2
+    keys = [_turn_key(x, y, k, h) for x, y in vectors]
+    assert all(0 <= key < 8 * h for key in keys)
+    for (u, ku), (w, kw) in itertools.product(zip(vectors, keys), repeat=2):
+        assert (ku > kw) - (ku < kw) == _angular_cmp(u, w)
+    for (x, y), (dx, dy) in itertools.product(
+        vectors, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
+    ):
+        long = (x * stretch + dx, y * stretch + dy)
+        long_key = _turn_key(*long, k, h)
+        assert 0 <= long_key < 8 * h
+        for w, kw in zip(vectors, keys):
+            order = _angular_cmp(long, w)
+            assert long_key == kw if order == 0 else (long_key - kw) * order >= 0
+
+
+def test_fan_keys_separate_near_parallel_directions():
+    """Consecutive Fibonacci vectors have determinant +-1, so from the
+    origin their directions differ by about 1/F^2 in cotangent: the fan
+    keys must still increase strictly, and a point in the thin wedge
+    between them must count."""
+    a, b = 1, 1
+    for _ in range(25):
+        a, b = b, a + b
+    q1, q2 = (a, b - a), (b, a)  # det(q1, q2) = a*a - b*(b - a) = +-1
+    cfg = configuration(2, [[point(0, 0)], [point(*q1)], [point(*q2)]])
+    for _, _, keys, _, _ in _fans(cfg)[2]:
+        assert all(u < w for u, w in zip(keys, keys[1:]))
+    centroid = tuple(Fraction(s, 3) for s in map(sum, zip(q1, q2)))
+    assert len(assert_depth_matches_oracle(cfg, centroid)) == 1
+
+
 def test_planar_depth_fixed_cases():
     # hexagon center: each color sits on two opposite rays from p
     assert len(assert_depth_matches_oracle(hexagon_config(), point(0, 0))) == 2
     # a configuration point is a zero vector from itself: always ambiguous
     cfg = generate(GeneratorSpec(seed=3, n=4, d=2))
+    fans = _fans(cfg)
     for q in cfg.all_points():
-        assert assert_depth_matches_oracle(cfg, q) is None
+        assert assert_depth_matches_oracle(cfg, q, fans) is None
 
 
 # --- ray-shot arrangement oracle --------------------------------------------
@@ -278,17 +437,6 @@ def _lines_through_pairs(ipts):
             a, b, c = -a, -b, -c
         lines.add((a, b, c))
     return sorted(lines)
-
-
-def _angular_cmp(u, w):
-    def half(v):
-        return 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-
-    hu, hw = half(u), half(w)
-    if hu != hw:
-        return -1 if hu < hw else 1
-    cross = u[0] * w[1] - u[1] * w[0]
-    return 0 if cross == 0 else (-1 if cross > 0 else 1)
 
 
 def arrangement_cell_points(points):
@@ -337,12 +485,13 @@ def arrangement_cell_points(points):
 def assert_exact_arrangement_matches_oracle(cfg):
     """Same maximum depth as the ray-shot oracle; every candidate of the
     closed-form step is unambiguous; the witness recounts to its depth."""
-    depths = [_depth_only(cfg, den, num) for den, num in _cell_points(cfg)]
+    fans, n3 = _fans(cfg), cfg.n**3
+    depths = [_depth_fan(fans, n3, den, num, n3 + 1) for den, num in _cell_points(cfg)]
     assert None not in depths
     oracle = max(
         d
         for d in (
-            _depth_only(cfg, *_frame(cfg, p))
+            depth_sweep(cfg, *_frame(cfg, p))
             for p in arrangement_cell_points(cfg.all_points())
         )
         if d is not None

@@ -105,6 +105,11 @@ def test_pipeline_epsilon_validation():
         run_pipeline(cfg, PipelineParams(epsilon=Fraction(3, 4)))
 
 
+def test_pipeline_rejects_negative_trim_max_steps():
+    with pytest.raises(InputError, match="trim_max_steps"):
+        run_pipeline(triangle_config(), PipelineParams(trim_max_steps=-1))
+
+
 def test_verify_certificate_examples():
     cfg = triangle_config()
     o_in = point(1, 1)

@@ -263,6 +263,34 @@ def test_trim_already_separated():
     assert [list(s) for s in q] == sets
 
 
+def test_trim_zero_steps_on_separated_family():
+    sets = [[point(0, 0)], [point(10, 0)], [point(0, 10)]]
+    q, trace = trim_to_separated(sets, point(3, 3), max_steps=0)
+    assert trace == TrimTrace((), (1, 1, 1))
+    assert [list(s) for s in q] == sets
+
+
+def test_trim_succeeds_in_exactly_max_steps():
+    """max_steps = k allows k cuts and checks the family the last one
+    leaves; k - 1 stops short with the first k - 1 steps."""
+    cfg = generate(GeneratorSpec(seed=0, n=4, d=2))
+    o_point = deepest_point(cfg, seed=0).witness
+    sets = [list(c) for c in cfg.colors]
+    q, trace = trim_to_separated(sets, o_point)
+    k = trace.step_count
+    assert k == 3
+    assert trim_to_separated(sets, o_point, max_steps=k) == (q, trace)
+    with pytest.raises(TrimExhaustedError, match=f"within {k - 1} steps") as info:
+        trim_to_separated(sets, o_point, max_steps=k - 1)
+    assert info.value.trace.steps == trace.steps[: k - 1]
+
+
+def test_trim_rejects_negative_max_steps():
+    sets = [[point(0, 0)], [point(10, 0)], [point(0, 10)]]
+    with pytest.raises(InputError, match="max_steps"):
+        trim_to_separated(sets, point(3, 3), max_steps=-1)
+
+
 def test_trim_random_instances():
     max_steps_seen = 0
     for seed in range(30):
