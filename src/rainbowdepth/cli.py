@@ -14,6 +14,7 @@ import json
 import sys
 
 from .config import (
+    DISTRIBUTIONS,
     GeneratorSpec,
     generate,
     json_point,
@@ -21,7 +22,13 @@ from .config import (
     parse_json,
     save_configuration,
 )
-from .depth import DepthResult, deepest_point, rainbow_depth_at
+from .depth import (
+    DEFAULT_STRATEGY,
+    STRATEGIES,
+    DepthResult,
+    deepest_point,
+    rainbow_depth_at,
+)
 from .errors import (
     BudgetExceededError,
     ExactComparisonError,
@@ -32,6 +39,7 @@ from .errors import (
 )
 from .geometry import format_rational, rational
 from .hypergraph import (
+    DEFAULT_GATE,
     extract_dense_exact,
     extract_dense_local,
     hypergraph_from_json,
@@ -46,7 +54,7 @@ from .pipeline import (
     run_pipeline,
     verify_certificate,
 )
-from .separation import trim_to_separated
+from .separation import DEFAULT_MAX_STEPS, trim_to_separated
 from .tverberg import find_disjoint_rainbow_simplices
 
 EXIT_OK = 0
@@ -110,11 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dim", type=int, default=2)
     p.add_argument(
-        "--distribution",
-        default="uniform-box",
-        choices=("uniform-box", "gaussian", "moment-curve-perturbed"),
+        "--distribution", default=GeneratorSpec.distribution, choices=DISTRIBUTIONS
     )
-    p.add_argument("--jitter", type=int, default=997)
+    p.add_argument("--jitter", type=int, default=GeneratorSpec.jitter)
     p.add_argument("--format", default="json", choices=("json", "plain"))
     p.add_argument("--output")
 
@@ -124,11 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("depth", help="search for a deep point")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--strategy",
-        default="candidate-sampling",
-        choices=("candidate-sampling", "exact-arrangement"),
-    )
+    p.add_argument("--strategy", default=DEFAULT_STRATEGY, choices=STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output")
 
@@ -139,10 +141,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("densify", help="dense subset extraction on a hypergraph")
     p.add_argument("--input", required=True, help="hypergraph JSON file")
-    p.add_argument("--epsilon", default="1/4")
+    p.add_argument("--epsilon", default=PipelineParams.epsilon)
     p.add_argument("--mode", default="exact", choices=("exact", "local"))
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-exact", type=int, default=10**7)
+    p.add_argument("--max-exact", type=int, default=DEFAULT_GATE)
     p.add_argument("--output")
 
     p = sub.add_parser("separate", help="trim dumped sets to a separated family")
@@ -151,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='JSON {"o": [...], "sets": [[[x,y],...],...]} with rational strings',
     )
-    p.add_argument("--max-steps", type=int, default=64)
+    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--output")
 
     p = sub.add_parser("run", help="full pipeline on a configuration")
@@ -159,16 +161,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output")
     p.add_argument("--svg")
     p.add_argument("--hypergraph-out")
-    p.add_argument("--epsilon", default="1/4", help='rational string or "paper"')
-    p.add_argument("--mode", default="auto", choices=("auto", "exact", "local"))
     p.add_argument(
-        "--strategy",
-        default="candidate-sampling",
-        choices=("candidate-sampling", "exact-arrangement"),
+        "--epsilon", default=PipelineParams.epsilon, help='rational string or "paper"'
     )
+    p.add_argument("--mode", default="auto", choices=("auto", "exact", "local"))
+    p.add_argument("--strategy", default=DEFAULT_STRATEGY, choices=STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-exact", type=int, default=10**7)
-    p.add_argument("--retries", type=int, default=5)
+    p.add_argument("--max-exact", type=int, default=PipelineParams.exact_gate)
+    p.add_argument("--retries", type=int, default=PipelineParams.max_retries)
 
     p = sub.add_parser("verify", help="re-check a report against its configuration")
     p.add_argument("--input", required=True, help="configuration file")
@@ -242,7 +242,7 @@ def _cmd_densify(args) -> int:
 
         epsilon = theoretical_constants(h.d, 1).epsilon
     if args.mode == "exact":
-        subsets = extract_dense_exact(h, epsilon, gate=args.max_exact)
+        subsets = extract_dense_exact(h, epsilon, gate=args.max_exact)[0]
     else:
         subsets = extract_dense_local(h, epsilon, seed=args.seed)
     _emit({"subsets": [list(s) for s in subsets]}, args.output)

@@ -5,9 +5,10 @@ dimension d, with the whole union in general position.  Coordinates are
 exact rationals; the JSON format stores them as strings ("7", "1/3",
 "0.25") so that load(save(cfg)) round-trips bit for bit.
 
-Validation happens once, at construction: a `ColoredConfiguration` that
-exists is valid, so no consumer checks it again.  Construction also
-scales the union to integers once (see `ColoredConfiguration.scale`).
+Construction scales the union to integers once, then validates: a
+`ColoredConfiguration` that exists is valid, so no consumer checks it
+again.  Its integer frame (see `ColoredConfiguration`) is the one frame
+that planar validation, depth search and verification run in.
 
 Formats
 -------
@@ -18,6 +19,7 @@ plain:  one point per line: "color_index x1 x2 ... xd"
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -32,6 +34,7 @@ from .errors import (
 from .geometry import (
     MAX_COORDINATE_BITS,
     Point,
+    first_collinear_triple,
     format_rational,
     general_position_check,
     integer_scaled,
@@ -42,15 +45,22 @@ from .geometry import (
 DISTRIBUTIONS = ("uniform-box", "gaussian", "moment-curve-perturbed")
 
 
+# A point num/den of a configuration's integer frame, den > 0: the point
+# num/(den*scale) of the original coordinates.
+Framed = tuple[int, tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class ColoredConfiguration:
     """A valid colored configuration; the constructor raises
     ValidationError otherwise.
 
-    The integer frame is derived data, excluded from comparison: the
-    union in class order scaled by `scale` (the lcm of all coordinate
-    denominators) to `int_points`, with the class of each point in
-    `point_colors`.  Class i occupies indices i*n .. i*n + n - 1.
+    The integer frame is derived data, built once at construction and
+    excluded from comparison: the union in class order scaled by `scale`
+    (the lcm of all coordinate denominators) to `int_points`, with the
+    class of each point in `point_colors`.  Class i occupies indices
+    i*n .. i*n + n - 1.  `frame` and `unframe` convert other points to
+    and from it.
     """
 
     dimension: int
@@ -62,7 +72,6 @@ class ColoredConfiguration:
     point_colors: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.validate()
         int_points, scale = integer_scaled(self.all_points())
         object.__setattr__(self, "int_points", tuple(int_points))
         object.__setattr__(self, "scale", scale)
@@ -71,6 +80,18 @@ class ColoredConfiguration:
             "point_colors",
             tuple(ci for ci, cls in enumerate(self.colors) for _ in cls),
         )
+        self.validate()
+
+    def frame(self, p: Point) -> Framed:
+        """p in the integer frame: p*scale = num/den, den > 0."""
+        scaled = [c * self.scale for c in p]
+        den = math.lcm(*(c.denominator for c in scaled))
+        return den, tuple(c.numerator * (den // c.denominator) for c in scaled)
+
+    def unframe(self, den: int, num) -> Point:
+        """The point num/(den*scale) of the original coordinates; the
+        inverse of `frame`."""
+        return tuple(Fraction(c, den * self.scale) for c in num)
 
     @property
     def n(self) -> int:
@@ -121,7 +142,10 @@ class ColoredConfiguration:
                         },
                     )
                 seen[p] = (ci, pi)
-        violation = general_position_check(self.all_points(), d)
+        if d == 2:
+            violation = first_collinear_triple(self.int_points)
+        else:
+            violation = general_position_check(self.all_points(), d)
         if violation is not None:
             raise ValidationError(
                 f"general position violated at indices {violation}",

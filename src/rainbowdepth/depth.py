@@ -52,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .config import ColoredConfiguration
+from .config import ColoredConfiguration, Framed
 from .errors import InputError, UnsupportedDimensionError
 from .geometry import (
     Point,
@@ -63,6 +63,8 @@ from .geometry import (
     primitive_direction,
 )
 
+DEFAULT_STRATEGY = "candidate-sampling"
+STRATEGIES = (DEFAULT_STRATEGY, "exact-arrangement")
 DEFAULT_CENTROID_BUDGET = 20000
 DEFAULT_RANDOM_BUDGET = 1000
 
@@ -130,29 +132,12 @@ class DepthResult:
     candidates_examined: int
 
 
-# A point num/den of the configuration's integer frame, den > 0: the
-# point num/(den*scale) of the original coordinates.
-Framed = tuple[int, tuple[int, ...]]
-
-
-def _frame(cfg: ColoredConfiguration, p: Point) -> Framed:
-    """p in the configuration's integer frame: p*scale = num/den, den > 0."""
-    scaled = [c * cfg.scale for c in p]
-    den = math.lcm(*(c.denominator for c in scaled))
-    return den, tuple(c.numerator * (den // c.denominator) for c in scaled)
-
-
-def _unframe(cfg: ColoredConfiguration, den: int, num) -> Point:
-    """The point num/(den*scale) of the original frame; inverse of `_frame`."""
-    return tuple(Fraction(c, den * cfg.scale) for c in num)
-
-
 def _depth_plane(
     cfg: ColoredConfiguration, p: Point
 ) -> list[tuple[int, int, int]] | None:
     """The rainbow triangles strictly containing p, by an n^3 scan of the
     pair sign table; None when p is ambiguous."""
-    den, num = _frame(cfg, p)
+    den, num = cfg.frame(p)
     table = pair_sign_table(cfg.int_points, cfg.point_colors, den, num)
     if table is None:
         return None
@@ -410,7 +395,7 @@ def _sampling_candidates(
 
 def deepest_point(
     cfg: ColoredConfiguration,
-    strategy: str = "candidate-sampling",
+    strategy: str = DEFAULT_STRATEGY,
     seed: int = 0,
     centroid_budget: int = DEFAULT_CENTROID_BUDGET,
     random_budget: int = DEFAULT_RANDOM_BUDGET,
@@ -451,13 +436,13 @@ def deepest_point(
             # still scored in full.
             depth = _depth_fan(fans, n_rainbow, den, num, n_rainbow - best_depth)
         else:
-            result = _depth_general(cfg, _unframe(cfg, den, num), collect=False)
+            result = _depth_general(cfg, cfg.unframe(den, num), collect=False)
             depth = None if result is None else result[0]
         if depth is None or depth < best_depth:
             continue  # None: ambiguous, or below the best
         # Only a candidate that reaches the incumbent becomes a Fraction
         # point, for the lexicographic tie-break.
-        cand = _unframe(cfg, den, num)
+        cand = cfg.unframe(den, num)
         if depth > best_depth or cand < best_point:
             best_depth = depth
             best_point = cand

@@ -258,7 +258,7 @@ def general_position_check(points: Sequence[Point], d: int):
                 f"point of dimension {len(p)} in a dimension-{d} check"
             )
     if d == 2:
-        return _first_collinear_triple(integer_scaled(pts)[0])
+        return first_collinear_triple(integer_scaled(pts)[0])
     for combo in itertools.combinations(range(len(pts)), d + 1):
         if orientation([pts[i] for i in combo]) == 0:
             return combo
@@ -276,7 +276,7 @@ def primitive_direction(dx: int, dy: int) -> tuple[int, int]:
     return dx, dy
 
 
-def _first_collinear_triple(ipts: Sequence[tuple[int, int]]):
+def first_collinear_triple(ipts: Sequence[tuple[int, int]]):
     """Lexicographically first collinear (i, j, k), i < j < k, of planar
     integer points, or None; O(N^2) expected time.
 
@@ -376,11 +376,6 @@ def is_unambiguous(classes: Sequence[Sequence[Point]], p: Point) -> bool:
         if orientation([union[i] for i in combo] + [p]) == 0:
             return False
     return True
-
-
-def cross2i(ox: int, oy: int, ax: int, ay: int, bx: int, by: int) -> int:
-    """Integer 2D orientation value of (o, a, b)."""
-    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
 
 
 def convex_hull_2d(points: Sequence[Point]) -> list[Point]:

@@ -247,10 +247,6 @@ def _require_equal_parts(h: PartiteHypergraph) -> int:
     return h.part_sizes[0]
 
 
-def _edge_bits(h: PartiteHypergraph) -> list[tuple[int, ...]]:
-    return sorted(h.edges)
-
-
 def _count_in_masks(edges: list[tuple[int, ...]], masks: list[int]) -> int:
     count = 0
     for e in edges:
@@ -283,13 +279,13 @@ def extract_dense_exact(
     epsilon,
     gate: int = DEFAULT_GATE,
     top: int = 1,
-) -> Subsets | list[Subsets]:
-    """Equal-size subset tuple maximizing e / s^(d+1-eps^(2d)) over every
-    size s (up to the smallest part) and every tuple of s-subsets.
+) -> list[Subsets]:
+    """The best `top` equal-size subset tuples, best first, under
+    e / s^(d+1-eps^(2d)) over every size s (up to the smallest part) and
+    every tuple of s-subsets; [0] is the maximizer.
 
-    Ties break to the lexicographically smallest tuple.  With `top` > 1,
-    returns the best `top` tuples in tie-order (used for pipeline
-    retries).  The gate bounds the number of tuples ranked.
+    Ties break to the lexicographically smallest tuple.  The pipeline
+    retries down the list.  The gate bounds the number of tuples ranked.
 
     The edge list is never scanned per tuple.  Fix s and a prefix
     S_0, ..., S_{d-1}, and let cnt[c] count the edges inside the prefix
@@ -340,8 +336,6 @@ def extract_dense_exact(
                 if e >= need:
                     value = DensityValue(e, s, exponent)
                     _rank_insert(ranked, value, prefix + (sub,), top)
-    if top == 1:
-        return ranked[0][1]
     return [tup for _, tup in ranked]
 
 
@@ -421,7 +415,7 @@ def extract_dense_local(h: PartiteHypergraph, epsilon, seed: int = 0) -> Subsets
     """
     n = _require_equal_parts(h)
     exponent = density_exponent(h.d, Fraction(epsilon))
-    edges = _edge_bits(h)
+    edges = sorted(h.edges)
     rng = random.Random(f"densify:{seed}")
     current = [list(range(n)) for _ in range(h.num_parts)]
 
@@ -513,7 +507,7 @@ def verify_property_ii(
     if not 0 < epsilon < Fraction(1, 2):
         raise InputError("epsilon must lie in (0, 1/2)")
     q = max(1, math.ceil(epsilon * s))
-    edges = _edge_bits(h)
+    edges = sorted(h.edges)
 
     def has_edge(masks: list[int]) -> bool:
         for e in edges:

@@ -7,7 +7,8 @@ tuples containing O; (3) dense equal-size extraction; (4) trimming to a
 separated family {O}, hull(Q_1), ..., hull(Q_{d+1}), skipped when the
 extracted S is complete (every rainbow triangle on S contains O), which
 makes the family separated already (see `run_pipeline`); (5) independent
-brute-force verification, on integers in the plane.  When trimming or
+brute-force verification, in the plane in the configuration's integer
+frame.  When trimming or
 verification fails, the pipeline retries from stage 3 with the
 next-ranked extraction (exact mode) or a reseeded local search; every
 retry is recorded.
@@ -32,7 +33,14 @@ from .config import (
     parse_json,
     save_configuration,
 )
-from .depth import deepest_point, rainbow_depth_at, theoretical_constants
+from .depth import (
+    DEFAULT_CENTROID_BUDGET,
+    DEFAULT_RANDOM_BUDGET,
+    DEFAULT_STRATEGY,
+    deepest_point,
+    rainbow_depth_at,
+    theoretical_constants,
+)
 from .errors import (
     InputError,
     PipelineStageError,
@@ -41,7 +49,6 @@ from .errors import (
 from .geometry import (
     Point,
     format_rational,
-    integer_scaled,
     is_unambiguous,
     orientation,  # noqa: F401  perfbench/test_perfbench.py reads pipeline.orientation
     pair_sign_table,
@@ -50,6 +57,7 @@ from .geometry import (
     rational,
 )
 from .hypergraph import (
+    DEFAULT_GATE,
     PartiteHypergraph,
     edge_count,
     exact_tuple_count,
@@ -57,7 +65,12 @@ from .hypergraph import (
     extract_dense_local,
     partite_hypergraph,
 )
-from .separation import TrimTrace, is_separated_family, trim_to_separated
+from .separation import (
+    DEFAULT_MAX_STEPS,
+    TrimTrace,
+    is_separated_family,
+    trim_to_separated,
+)
 
 SCHEMA_VERSION = 1
 
@@ -65,14 +78,11 @@ SCHEMA_VERSION = 1
 @dataclass(frozen=True)
 class PipelineParams:
     epsilon: Fraction | str = Fraction(1, 4)  # "paper" selects 1/2^(d*2^d)
-    depth_strategy: str = "candidate-sampling"
+    depth_strategy: str = DEFAULT_STRATEGY
     extraction: str = "auto"  # auto | exact | local
     seed: int = 0
-    exact_gate: int = 10**7
-    centroid_budget: int = 20000
-    random_budget: int = 1000
+    exact_gate: int = DEFAULT_GATE
     max_retries: int = 5
-    trim_max_steps: int = 64
 
     def resolve_epsilon(self, d: int) -> Fraction:
         if self.epsilon == "paper":
@@ -92,10 +102,10 @@ class PipelineParams:
             "extraction": self.extraction,
             "seed": self.seed,
             "exact_gate": self.exact_gate,
-            "centroid_budget": self.centroid_budget,
-            "random_budget": self.random_budget,
+            "centroid_budget": DEFAULT_CENTROID_BUDGET,
+            "random_budget": DEFAULT_RANDOM_BUDGET,
             "max_retries": self.max_retries,
-            "trim_max_steps": self.trim_max_steps,
+            "trim_max_steps": DEFAULT_MAX_STEPS,
         }
 
 
@@ -158,8 +168,9 @@ def verify_certificate(
     O strictly.  None means verified; otherwise the first violating
     tuple, in product order.  Each Q_i must be a nonempty subset of
     color class i, with no point repeated.  In the plane the test runs
-    on integers (`_planar_containment`), else by
-    `point_in_simplex_interior`.
+    in the configuration's integer frame, on one `pair_sign_table` of O
+    against every configuration point, which also decides whether O is
+    ambiguous; else by `is_unambiguous` and `point_in_simplex_interior`.
     """
     o_point = point(o_point)
     q_sets = [tuple(point(p) for p in q) for q in q_sets]
@@ -167,24 +178,46 @@ def verify_certificate(
         raise InputError(
             f"expected {cfg.num_colors} subsets, got {len(q_sets)}"
         )
+    indices = []  # per Q_i, the frame index of each of its points
     for i, q in enumerate(q_sets):
         if not q:
             raise InputError(f"Q_{i} is empty")
         if len(set(q)) != len(q):
             raise InputError(f"Q_{i} repeats a point")
-        members = set(cfg.colors[i])
+        members = {p: i * cfg.n + j for j, p in enumerate(cfg.colors[i])}
         for p in q:
             if p not in members:
                 raise InputError(
                     f"Q_{i} contains a point outside color class {i}"
                 )
-    if not is_unambiguous(cfg.colors, o_point):
+        indices.append([members[p] for p in q])
+    if len(o_point) != cfg.dimension:
+        raise InputError(
+            f"point dimension does not match dimension {len(o_point)}"
+        )
+    if cfg.dimension == 2:
+        table = pair_sign_table(
+            cfg.int_points, cfg.point_colors, *cfg.frame(o_point)
+        )
+        unambiguous = table is not None
+    else:
+        unambiguous = is_unambiguous(cfg.colors, o_point)
+    if not unambiguous:
         raise InputError(
             "O lies on a hyperplane spanned by differently colored "
             "configuration points"
         )
     if cfg.dimension == 2:
-        contains = _planar_containment(o_point, q_sets)
+        a_of, b_of, c_of = indices
+
+        def contains(choice) -> bool:
+            # With vectors taken from O, O lies strictly inside abc
+            # exactly when cross(a, b), cross(b, c) and cross(c, a) have
+            # one sign: they are the orientations of (O, b, c), (a, O, c)
+            # and (a, b, O), which sum to that of (a, b, c).  None is 0,
+            # as O is on no line through two differently colored points.
+            a, b, c = a_of[choice[0]], b_of[choice[1]], c_of[choice[2]]
+            return table[a][b] == table[b][c] == table[c][a]
     else:
         def contains(choice):
             verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
@@ -196,32 +229,6 @@ def verify_certificate(
                 tuple(choice), tuple(verts), "simplex does not contain O strictly"
             )
     return None
-
-
-def _planar_containment(o_point: Point, q_sets):
-    """The test "the rainbow triangle of index tuple `choice` contains O
-    strictly", on integers, for an unambiguous O.
-
-    Q and O are scaled to integers once.  With vectors taken from O, O
-    lies strictly inside exactly when cross(a, b), cross(b, c) and
-    cross(c, a) have one sign: they are the orientations of (O, b, c),
-    (a, O, c) and (a, b, O), which sum to that of (a, b, c).  None is 0,
-    as O is on no line through two differently colored points, so the
-    signs of the cross-colored pairs are tabulated once.
-    """
-    points = [p for q in q_sets for p in q]
-    scaled, _ = integer_scaled(points + [o_point])
-    colors = [i for i, q in enumerate(q_sets) for _ in q]
-    table = pair_sign_table(scaled[:-1], colors, 1, scaled[-1])
-    assert table is not None, "O was checked to be unambiguous"
-    base_b = len(q_sets[0])
-    base_c = base_b + len(q_sets[1])
-
-    def contains(choice) -> bool:
-        a, b, c = choice[0], base_b + choice[1], base_c + choice[2]
-        return table[a][b] == table[b][c] == table[c][a]
-
-    return contains
 
 
 def all_or_none_check(q_sets, o_point: Point, assume_separated: bool = False) -> str:
@@ -312,19 +319,9 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
     epsilon = params.resolve_epsilon(d)
     if params.max_retries < 0:
         raise InputError(f"max_retries must be >= 0, got {params.max_retries}")
-    if params.trim_max_steps < 0:
-        raise InputError(
-            f"trim_max_steps must be >= 0, got {params.trim_max_steps}"
-        )
     input_hash = configuration_hash(cfg)
 
-    deep = deepest_point(
-        cfg,
-        strategy=params.depth_strategy,
-        seed=params.seed,
-        centroid_budget=params.centroid_budget,
-        random_budget=params.random_budget,
-    )
+    deep = deepest_point(cfg, strategy=params.depth_strategy, seed=params.seed)
     o_point = deep.witness
 
     depth_info = rainbow_depth_at(cfg, o_point)
@@ -361,7 +358,7 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
         else:
             try:
                 q_sets, trace = trim_to_separated(
-                    s_sets, o_point, max_steps=params.trim_max_steps
+                    s_sets, o_point, max_steps=DEFAULT_MAX_STEPS
                 )
             except TrimExhaustedError as exc:
                 attempt_stats["outcome"] = f"trim failed: {exc}"

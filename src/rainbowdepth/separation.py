@@ -38,6 +38,8 @@ from .geometry import (
 )
 from .lp import OPTIMAL, solve_lp_max
 
+DEFAULT_MAX_STEPS = 64
+
 
 @dataclass(frozen=True)
 class SeparationWitness:
@@ -390,7 +392,7 @@ def _oriented_for_designated(h: Hyperplane, d_points: list[Point]) -> Hyperplane
 def trim_to_separated(
     point_sets: Sequence[Sequence[Point]],
     o_point: Point,
-    max_steps: int = 64,
+    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> tuple[list[tuple[Point, ...]], TrimTrace]:
     """Discard points until {O} and the hulls of the sets are separated.
 

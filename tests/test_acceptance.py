@@ -193,7 +193,7 @@ def test_criterion_4_dense_extraction():
         h = random_dense_hypergraph(rng)
         n = 6
         total = len(h.edges)
-        subsets = extract_dense_exact(h, eps)
+        subsets = extract_dense_exact(h, eps)[0]
         s = len(subsets[0])
         e = edge_count(h, subsets)
         beta = Fraction(total, n**3)

@@ -223,9 +223,12 @@ def test_verify_checks_recorded_numbers(n6_run, tmp_path, capsys, edit, expected
 
 @pytest.mark.parametrize("mode", ["exact", "local"])
 def test_negative_retries_exit_2(cfg_path, capsys, mode):
-    argv = ["run", "--input", str(cfg_path), "--mode", mode, "--retries", "-1"]
-    assert run_cli(*argv) == EXIT_INPUT
+    argv = ["run", "--input", str(cfg_path), "--mode", mode, "--retries"]
+    assert run_cli(*argv, "-1") == EXIT_INPUT
     assert _one_json_error(capsys)["error"] == "input"
+    # Zero retries is one attempt, on either extraction route.
+    assert run_cli(*argv, "0") == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["verified"] is True
 
 
 def test_verify_hash_mismatch(tmp_path, cfg_path, capsys):

@@ -1,13 +1,18 @@
+import contextlib
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbowdepth import (
     ColoredConfiguration,
     GenerationError,
     GeneratorSpec,
+    InputError,
     ParseError,
     ValidationError,
     configuration,
@@ -17,7 +22,9 @@ from rainbowdepth import (
     orientation,
     point,
     save_configuration,
+    verify_certificate,
 )
+from rainbowdepth.geometry import integer_scaled
 
 DATA = Path(__file__).parent / "data"
 
@@ -69,6 +76,74 @@ def test_empty_color_rejected_before_save():
     # exist, so it can never reach save_configuration.
     with pytest.raises(ValidationError):
         ColoredConfiguration(dimension=2, colors=((), (), ()))
+
+
+@contextlib.contextmanager
+def counted_integer_scaled():
+    """Count the calls to `integer_scaled` through every rainbowdepth
+    module that holds it."""
+    calls = []
+
+    def counting(points):
+        calls.append(1)
+        return integer_scaled(points)
+
+    modules = [
+        module
+        for name, module in sys.modules.items()
+        if name.startswith("rainbowdepth") and hasattr(module, "integer_scaled")
+    ]
+    for module in modules:
+        module.integer_scaled = counting
+    try:
+        yield calls
+    finally:
+        for module in modules:
+            module.integer_scaled = integer_scaled
+
+
+small = st.fractions(-6, 6, max_denominator=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    collinear=st.booleans(),
+    data=st.data(),
+)
+def test_construction_builds_one_frame(n, collinear, data):
+    pts = data.draw(
+        st.lists(st.tuples(small, small), min_size=3 * n, max_size=3 * n, unique=True)
+    )
+    if collinear and n > 1:
+        i, j, k = data.draw(st.permutations(range(3 * n)))[:3]
+        t = data.draw(st.fractions(-2, 2, max_denominator=4))
+        pts[k] = tuple(a + t * (b - a) for a, b in zip(pts[i], pts[j]))
+    colors = tuple(tuple(pts[c * n : (c + 1) * n]) for c in range(3))
+    expected = general_position_check(pts, 2)
+    with counted_integer_scaled() as calls:
+        try:
+            cfg = ColoredConfiguration(dimension=2, colors=colors)
+        except ValidationError as exc:
+            cfg, error = None, exc
+    assert len(calls) == 1
+    if cfg is None:
+        if "duplicate" in str(error):
+            assert len(set(pts)) < len(pts)
+        else:
+            assert error.witness == {"indices": list(expected)}
+        return
+    assert expected is None
+    int_points, scale = integer_scaled(cfg.all_points())
+    assert cfg.int_points == tuple(int_points)
+    assert cfg.scale == scale
+    o_point = data.draw(st.tuples(small, small))
+    with counted_integer_scaled() as calls:
+        try:
+            verify_certificate(cfg, o_point, cfg.colors)
+        except InputError:
+            pass  # O is ambiguous
+    assert calls == []
 
 
 def test_float_coordinates_rejected():

@@ -26,7 +26,6 @@ from rainbowdepth.depth import (
     _cell_points,
     _depth_fan,
     _fans,
-    _frame,
     _turn_key,
     counting_inequality_diagnostic,
 )
@@ -269,9 +268,9 @@ def assert_depth_matches_oracle(cfg, p, fans=None):
     `fans`, when given, is `_fans(cfg)`, built once per configuration."""
     expected = brute_force_depth(cfg, p)
     count = None if expected is None else len(expected)
-    assert depth_sweep(cfg, *_frame(cfg, p)) == count
+    assert depth_sweep(cfg, *cfg.frame(p)) == count
     n3 = cfg.n**3  # a limit above n^3: no early exit
-    assert _depth_fan(fans or _fans(cfg), n3, *_frame(cfg, p), n3 + 1) == count
+    assert _depth_fan(fans or _fans(cfg), n3, *cfg.frame(p), n3 + 1) == count
     if expected is None:
         with pytest.raises(InputError, match="spanned"):
             rainbow_depth_at(cfg, p)
@@ -354,7 +353,7 @@ def test_depth_fan_matches_sweep_and_brute_force(seed, n, distribution, kinds, d
         if kind in ("cross-color", "point"):
             assert expected is None
         limit = data.draw(st.integers(-1, n3 + 1))
-        got = _depth_fan(fans, n3, *_frame(cfg, p), limit)
+        got = _depth_fan(fans, n3, *cfg.frame(p), limit)
         if expected is not None and n3 - len(expected) <= limit:
             assert got == len(expected)
         else:
@@ -491,7 +490,7 @@ def assert_exact_arrangement_matches_oracle(cfg):
     oracle = max(
         d
         for d in (
-            depth_sweep(cfg, *_frame(cfg, p))
+            depth_sweep(cfg, *cfg.frame(p))
             for p in arrangement_cell_points(cfg.all_points())
         )
         if d is not None

@@ -140,17 +140,17 @@ def test_density_value_from_hypergraph():
 
 def test_extract_exact_complete():
     h = complete_222()
-    assert extract_dense_exact(h, Fraction(1, 4)) == ((0, 1), (0, 1), (0, 1))
+    assert extract_dense_exact(h, Fraction(1, 4)) == [((0, 1), (0, 1), (0, 1))]
 
 
 def test_extract_exact_single_edge_unequal_parts():
     h = partite_hypergraph([2, 1, 1], [(0, 0, 0)])
-    assert extract_dense_exact(h, Fraction(1, 4)) == ((0,), (0,), (0,))
+    assert extract_dense_exact(h, Fraction(1, 4)) == [((0,), (0,), (0,))]
 
 
 def test_extract_exact_zero_edges_lex_tiebreak():
     h = partite_hypergraph([2, 2, 2], [])
-    assert extract_dense_exact(h, Fraction(1, 4)) == ((0,), (0,), (0,))
+    assert extract_dense_exact(h, Fraction(1, 4)) == [((0,), (0,), (0,))]
 
 
 def test_extract_exact_gate():
@@ -173,7 +173,7 @@ def test_extract_exact_guarantees():
         total = edge_count(h, h.full_subsets())
         if total == 0:
             continue
-        subsets = extract_dense_exact(h, eps)
+        subsets = extract_dense_exact(h, eps)[0]
         s = len(subsets[0])
         e = edge_count(h, subsets)
         assert Fraction(e, s**3) >= Fraction(total, n**3)
@@ -195,8 +195,8 @@ def test_extract_monotone_in_edges():
     if not missing:
         return
     bigger = partite_hypergraph([3, 3, 3], list(h.edges) + [missing[0]])
-    v1 = density_value(h, extract_dense_exact(h, eps), eps)
-    v2 = density_value(bigger, extract_dense_exact(bigger, eps), eps)
+    v1 = density_value(h, extract_dense_exact(h, eps)[0], eps)
+    v2 = density_value(bigger, extract_dense_exact(bigger, eps)[0], eps)
     assert v2 >= v1
 
 
@@ -217,8 +217,7 @@ def enumerating_extract_dense_exact(h, epsilon, top=1):
     def order(a, b):
         return b[0]._compare(a[0]) or (a[1] > b[1]) - (a[1] < b[1])
 
-    ranked = [tup for _, tup in heapq.nsmallest(top, scored, key=cmp_to_key(order))]
-    return ranked[0] if top == 1 else ranked
+    return [tup for _, tup in heapq.nsmallest(top, scored, key=cmp_to_key(order))]
 
 
 def assert_matches_enumeration(h, epsilon, top):
@@ -291,7 +290,7 @@ def test_hexagon_hypergraph_cross_check():
     # two alternating rainbow triangles containing the center
     h = partite_hypergraph([2, 2, 2], [(0, 1, 0), (1, 0, 1)])
     eps = Fraction(1, 3)
-    exact = extract_dense_exact(h, eps)
+    exact = extract_dense_exact(h, eps)[0]
     local = extract_dense_local(h, eps, seed=0)
     assert verify_property_ii(h, exact, eps).status == "ok"
     assert verify_property_ii(h, local, eps).status == "ok"
@@ -317,7 +316,7 @@ def test_property_ii_of_exact_extraction():
         h = random_hypergraph(rng, [5, 5, 5], rng.uniform(0.35, 0.7))
         if not h.edges:
             continue
-        subsets = extract_dense_exact(h, eps)
+        subsets = extract_dense_exact(h, eps)[0]
         assert verify_property_ii(h, subsets, eps).status == "ok"
 
 

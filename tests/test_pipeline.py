@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowdepth import (
@@ -105,11 +105,6 @@ def test_pipeline_epsilon_validation():
         run_pipeline(cfg, PipelineParams(epsilon=Fraction(3, 4)))
 
 
-def test_pipeline_rejects_negative_trim_max_steps():
-    with pytest.raises(InputError, match="trim_max_steps"):
-        run_pipeline(triangle_config(), PipelineParams(trim_max_steps=-1))
-
-
 def test_verify_certificate_examples():
     cfg = triangle_config()
     o_in = point(1, 1)
@@ -158,14 +153,14 @@ def first_missing_tuple(o_point, q_sets):
     distribution=st.sampled_from(
         ["uniform-box", "gaussian", "moment-curve-perturbed"]
     ),
-    kind=st.sampled_from(["deep", "random", "outside"]),
+    kind=st.sampled_from(["deep", "random", "outside", "bichromatic"]),
     data=st.data(),
 )
 def test_verify_matches_simplex_oracle(seed, n, distribution, kind, data):
     cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
     pools = cfg.colors
     if kind == "deep":
-        bundle = run_pipeline(cfg, PipelineParams(seed=seed, random_budget=50))
+        bundle = run_pipeline(cfg, PipelineParams(seed=seed))
         o_point = bundle.o_point
         if data.draw(st.booleans()):
             pools = bundle.q_sets  # subsets of a certified Q verify
@@ -175,17 +170,31 @@ def test_verify_matches_simplex_oracle(seed, n, distribution, kind, data):
         t, r = data.draw(weight), data.draw(weight)
         u, v, w = (cls[0] for cls in cfg.colors)
         o_point = tuple(a + t * (b - a) + r * (c - a) for a, b, c in zip(u, v, w))
-    else:
+    elif kind == "outside":
         # right of every point, so no rainbow triangle contains it
         right = max(p[0] for p in cfg.all_points())
         dx = data.draw(st.fractions(0, 10, max_denominator=97).filter(bool))
         y = data.draw(st.fractions(-(10**4), 10**4, max_denominator=97))
         o_point = (right + dx, y)
-    assume(is_unambiguous(cfg.colors, o_point))
+    else:
+        # on the line through u and a point of another color, or at u,
+        # with u left out of Q when its class has another point
+        i, j = data.draw(st.permutations(range(3)))[:2]
+        u = data.draw(st.sampled_from(cfg.colors[i]))
+        v = data.draw(st.sampled_from(cfg.colors[j]))
+        t = data.draw(st.just(0) | st.fractions(-2, 2, max_denominator=10**6))
+        o_point = tuple(a + t * (b - a) for a, b in zip(u, v))
+        if n > 1:
+            pools = [tuple(p for p in pool if p != u) for pool in pools]
     q_sets = []
     for pool in pools:
         order = data.draw(st.permutations(pool))
         q_sets.append(tuple(order[: data.draw(st.integers(1, len(pool)))]))
+    if not is_unambiguous(cfg.colors, o_point):
+        with pytest.raises(InputError, match="O lies on a hyperplane"):
+            verify_certificate(cfg, o_point, q_sets)
+        return
+    assert kind != "bichromatic"
     counter = verify_certificate(cfg, o_point, q_sets)
     expected = first_missing_tuple(o_point, q_sets)
     if expected is None:
