@@ -46,7 +46,6 @@ from .hypergraph import (
 )
 from .pipeline import (
     PipelineParams,
-    check_report_numbers,
     configuration_hash,
     load_report,
     report_bytes,
@@ -300,9 +299,8 @@ def _cmd_verify(args) -> int:
     if recorded_hash and recorded_hash != configuration_hash(cfg):
         raise InputError("report input_hash does not match the configuration")
     o_point, q_sets = report_o_and_q(data)
-    counter = verify_certificate(cfg, o_point, q_sets)
+    counter = verify_certificate(cfg, o_point, q_sets, report=data)
     if counter is None:
-        check_report_numbers(cfg, data, o_point, q_sets)
         _emit({"verified": True})
         return EXIT_OK
     _emit(

@@ -141,8 +141,17 @@ def _depth_plane(
     table = pair_sign_table(cfg.int_points, cfg.point_colors, den, num)
     if table is None:
         return None
-    n = cfg.n
-    tuples: list[tuple[int, int, int]] = []
+    return list(contained_triangles(table, cfg.n))
+
+
+def contained_triangles(
+    table: list[list[int]], n: int
+) -> Iterator[tuple[int, int, int]]:
+    """The rainbow triangles (a, b, c) that strictly contain p, from the
+    `pair_sign_table` of p against a planar configuration's frame points
+    (class i at i*n ... i*n + n - 1), in lexicographic order: with
+    vectors taken from p, p is inside abc exactly when cross(a, b),
+    cross(b, c) and cross(c, a) have one sign."""
     for a in range(n):
         row_a = table[a]
         for b in range(n):
@@ -152,8 +161,7 @@ def _depth_plane(
             for c in range(n):
                 gc = 2 * n + c
                 if s1 == row_b[gc] == table[gc][a]:
-                    tuples.append((a, b, c))
-    return tuples
+                    yield a, b, c
 
 
 _OTHER_COLORS = ((1, 2), (0, 2), (0, 1))

@@ -247,17 +247,6 @@ def _require_equal_parts(h: PartiteHypergraph) -> int:
     return h.part_sizes[0]
 
 
-def _count_in_masks(edges: list[tuple[int, ...]], masks: list[int]) -> int:
-    count = 0
-    for e in edges:
-        for i, v in enumerate(e):
-            if not (masks[i] >> v) & 1:
-                break
-        else:
-            count += 1
-    return count
-
-
 def _mask_of(sub: tuple[int, ...]) -> int:
     m = 0
     for v in sub:
@@ -412,46 +401,55 @@ def extract_dense_local(h: PartiteHypergraph, epsilon, seed: int = 0) -> Subsets
     within a part.  Only strictly density-increasing moves are accepted,
     so every step preserves equal sizes and the walk terminates at a
     local maximum.  Deterministic for a fixed seed.
+
+    Candidates are scored from one pass over the edges per accepted
+    move (`_box_degrees`), never by recounting a candidate box.  With
+    e(S) the edges inside the current box S, deg[i][v] the edges through
+    v in part i whose other vertices all lie in S, and inc[i][v] the
+    inside edges through a member v:
+
+    * swapping u out of part i and w in keeps every inside edge that
+      avoids u and gains exactly the edges through w whose other
+      vertices lie in S, so the new count is e(S) - deg[i][u] +
+      deg[i][w]; the size is unchanged, so the swap improves exactly
+      when deg[i][w] > deg[i][u];
+    * dropping x_i from every part loses exactly the inside edges
+      through some x_i, so the new count is e(S) minus the size of the
+      union of the inc[i][x_i].
+
+    Those are the counts a full recount of each candidate gives, so the
+    walk makes the same decisions.  Candidates of one size order by
+    their counts; a drop against the current box compares DensityValues.
     """
     n = _require_equal_parts(h)
     exponent = density_exponent(h.d, Fraction(epsilon))
-    edges = sorted(h.edges)
     rng = random.Random(f"densify:{seed}")
     current = [list(range(n)) for _ in range(h.num_parts)]
-
-    def value_of(subs: list[list[int]]) -> DensityValue:
-        e = _count_in_masks(edges, [_mask_of(tuple(s)) for s in subs])
-        return DensityValue(e, len(subs[0]), exponent)
-
-    current_value = value_of(current)
     while True:
-        improved = False
+        inside, deg, inc = _box_degrees(h, current)
+        s = len(current[0])
         # Simultaneous min-degree removal, only meaningful above size 1.
-        if len(current[0]) > 1:
-            masks = [_mask_of(tuple(s)) for s in current]
+        if s > 1:
             tied: list[list[int]] = []
             for i, sub in enumerate(current):
-                degrees = {v: 0 for v in sub}
-                for e in edges:
-                    if all((masks[k] >> e[k]) & 1 for k in range(h.num_parts)):
-                        degrees[e[i]] += 1
-                low = min(degrees.values())
-                tied.append([v for v in sub if degrees[v] == low])
-            n_combos = math.prod(len(tv) for tv in tied)
-            if n_combos > 64:
+                low = min(deg[i][v] for v in sub)
+                tied.append([v for v in sub if deg[i][v] == low])
+            if math.prod(len(tv) for tv in tied) > 64:
                 tied = [tv[:1] for tv in tied]
-            best_candidate = None
-            best_value = None
+            best_drops, best_count = None, -1
             for drops in itertools.product(*tied):
-                candidate = [
-                    [v for v in sub if v != drops[i]]
+                lost = set()
+                for i, x in enumerate(drops):
+                    lost.update(inc[i][x])
+                if inside - len(lost) > best_count:
+                    best_drops, best_count = drops, inside - len(lost)
+            if DensityValue(best_count, s - 1, exponent) > DensityValue(
+                inside, s, exponent
+            ):
+                current = [
+                    [v for v in sub if v != best_drops[i]]
                     for i, sub in enumerate(current)
                 ]
-                cand_value = value_of(candidate)
-                if best_value is None or cand_value > best_value:
-                    best_candidate, best_value = candidate, cand_value
-            if best_value is not None and best_value > current_value:
-                current, current_value = best_candidate, best_value
                 continue
         # Single-vertex swaps, explored in a seeded order.
         swaps = [
@@ -463,17 +461,42 @@ def extract_dense_local(h: PartiteHypergraph, epsilon, seed: int = 0) -> Subsets
         ]
         rng.shuffle(swaps)
         for i, u, w in swaps:
-            candidate = [list(s) for s in current]
-            candidate[i] = sorted(v for v in candidate[i] if v != u) + [w]
-            candidate[i].sort()
-            cand_value = value_of(candidate)
-            if cand_value > current_value:
-                current, current_value = candidate, cand_value
-                improved = True
+            if deg[i][w] > deg[i][u]:
+                current[i] = sorted([v for v in current[i] if v != u] + [w])
                 break
-        if not improved:
+        else:
             break
     return tuple(tuple(sorted(s)) for s in current)
+
+
+def _box_degrees(h: PartiteHypergraph, subsets: list[list[int]]):
+    """(e(S), deg, inc) for the box S = `subsets`, in one edge pass:
+    deg[i][v] counts the edges through vertex v of part i, member of S
+    or not, whose other vertices all lie in S, and inc[i][v] lists the
+    edges inside S through a member v."""
+    member = [[False] * size for size in h.part_sizes]
+    for flags, sub in zip(member, subsets):
+        for v in sub:
+            flags[v] = True
+    deg = [[0] * size for size in h.part_sizes]
+    inc = [[[] for _ in range(size)] for size in h.part_sizes]
+    inside = 0
+    for e in h.edges:
+        out = -1  # the one part where e leaves S, if any
+        for i, v in enumerate(e):
+            if not member[i][v]:
+                if out >= 0:
+                    break
+                out = i
+        else:
+            if out >= 0:
+                deg[out][e[out]] += 1
+                continue
+            inside += 1
+            for i, v in enumerate(e):
+                deg[i][v] += 1
+                inc[i][v].append(e)
+    return inside, deg, inc
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from .depth import (
     DEFAULT_CENTROID_BUDGET,
     DEFAULT_RANDOM_BUDGET,
     DEFAULT_STRATEGY,
+    contained_triangles,
     deepest_point,
     rainbow_depth_at,
     theoretical_constants,
@@ -162,7 +163,7 @@ class Counterexample:
 
 
 def verify_certificate(
-    cfg: ColoredConfiguration, o_point: Point, q_sets
+    cfg: ColoredConfiguration, o_point: Point, q_sets, report: dict | None = None
 ) -> Counterexample | None:
     """Independent oracle: every rainbow simplex on the Q_i must contain
     O strictly.  None means verified; otherwise the first violating
@@ -171,6 +172,10 @@ def verify_certificate(
     in the configuration's integer frame, on one `pair_sign_table` of O
     against every configuration point, which also decides whether O is
     ambiguous; else by `is_unambiguous` and `point_in_simplex_interior`.
+
+    `report`, the loaded report these O and Q come from, is checked
+    too once they verify (`check_report_numbers`); in the plane its
+    depth is counted from the same sign table.
     """
     o_point = point(o_point)
     q_sets = [tuple(point(p) for p in q) for q in q_sets]
@@ -195,6 +200,7 @@ def verify_certificate(
         raise InputError(
             f"point dimension does not match dimension {len(o_point)}"
         )
+    table = None
     if cfg.dimension == 2:
         table = pair_sign_table(
             cfg.int_points, cfg.point_colors, *cfg.frame(o_point)
@@ -228,6 +234,8 @@ def verify_certificate(
             return Counterexample(
                 tuple(choice), tuple(verts), "simplex does not contain O strictly"
             )
+    if report is not None:
+        check_report_numbers(cfg, report, o_point, q_sets, table)
     return None
 
 
@@ -435,11 +443,16 @@ def report_o_and_q(data: dict) -> tuple[Point, list[tuple[Point, ...]]]:
 
 
 def check_report_numbers(
-    cfg: ColoredConfiguration, data: dict, o_point: Point, q_sets
+    cfg: ColoredConfiguration,
+    data: dict,
+    o_point: Point,
+    q_sets,
+    table: list[list[int]] | None,
 ) -> None:
     """The report's own `sizes`, `ratios` and `depth`, where present,
     must match its Q and O: len(Q_i), len(Q_i)/n and the rainbow depth
-    of O.  Raises InputError on the first mismatch."""
+    of O, counted from `table`, the planar `pair_sign_table` of O, when
+    there is one.  Raises InputError on the first mismatch."""
     sizes = [len(q) for q in q_sets]
     if "sizes" in data and not (
         isinstance(data["sizes"], list)
@@ -458,6 +471,9 @@ def check_report_numbers(
             f"{[format_rational(r) for r in ratios]}"
         )
     if "depth" in data:
-        depth = rainbow_depth_at(cfg, o_point).count
+        if table is None:
+            depth = rainbow_depth_at(cfg, o_point).count
+        else:
+            depth = sum(1 for _ in contained_triangles(table, cfg.n))
         if type(data["depth"]) is not int or data["depth"] != depth:
             raise InputError(f"report depth does not match O, expected {depth}")

@@ -407,3 +407,22 @@ def test_pinned_exact_mode_report_digests():
         assert bundle.stats["attempts"][0]["extraction_mode"] == "exact"
         digests[n, distribution] = hashlib.sha256(report_bytes(bundle)).hexdigest()
     assert digests == PINNED_EXACT_MODE_SHA256
+
+
+# sha256 of the `run` report of `gen --seed 0` (default params) at n=16,
+# where `auto` picks local search: the route the tables above leave out.
+PINNED_N16_SHA256 = {
+    "uniform-box": "05e4f1504ee91670fe3fcdc8975dd83415507ad1cf106e087da92af3b701a1a1",
+    "gaussian": "06971c41ebebe1d236360d27f3ffe433ad1e25f419c38a29d61e2c90e14a37f5",
+    "moment-curve-perturbed": "116b252a0cd6fc1118bdf7c638bb25eaf21654ba7b2ef7ff8c257e9977162b93",
+}
+
+
+def test_pinned_n16_report_digests():
+    digests = {}
+    for distribution in PINNED_N16_SHA256:
+        cfg = generate(GeneratorSpec(seed=0, n=16, d=2, distribution=distribution))
+        bundle = run_pipeline(cfg, PipelineParams())
+        assert bundle.stats["attempts"][0]["extraction_mode"] == "local"
+        digests[distribution] = hashlib.sha256(report_bytes(bundle)).hexdigest()
+    assert digests == PINNED_N16_SHA256

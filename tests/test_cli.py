@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from rainbowdepth import (
     GeneratorSpec,
     deepest_point,
+    depth,
     generate,
+    geometry,
     hypergraph,
+    pipeline,
     separation,
     tverberg,
 )
@@ -219,6 +222,45 @@ def test_verify_checks_recorded_numbers(n6_run, tmp_path, capsys, edit, expected
     assert run_cli("verify", "--input", str(cfg_path), "--report", str(report)) == expected
     if expected == EXIT_INPUT:
         assert _one_json_error(capsys)["error"] == "input"
+
+
+@pytest.mark.parametrize("n", [7, 16])
+def test_verify_builds_one_sign_table(tmp_path, capsys, monkeypatch, n):
+    # The certificate check and the depth recount share one table of O.
+    cfg, report = tmp_path / "cfg.json", tmp_path / "report.json"
+    assert run_cli("gen", "--seed", "0", "--n", str(n), "--output", str(cfg)) == EXIT_OK
+    assert run_cli("run", "--input", str(cfg), "--output", str(report)) == EXIT_OK
+    capsys.readouterr()
+    original, calls = geometry.pair_sign_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (geometry, depth, pipeline):
+        monkeypatch.setattr(module, "pair_sign_table", counted)
+    assert run_cli("verify", "--input", str(cfg), "--report", str(report)) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"verified": True}
+    assert len(calls) == 1
+
+
+def test_densify_local_reproduces_the_run_extraction(tmp_path, capsys):
+    # At n = 10 `auto` extracts by local search; `densify --mode local`
+    # on the dumped hypergraph, with the run's seed, finds the same box.
+    cfg, report, hg = (tmp_path / name for name in ("cfg.json", "r.json", "h.json"))
+    assert run_cli("gen", "--seed", "0", "--n", "10", "--output", str(cfg)) == EXIT_OK
+    argv = ["run", "--input", str(cfg), "--output", str(report), "--hypergraph-out", str(hg)]
+    assert run_cli(*argv) == EXIT_OK
+    attempt = json.loads(report.read_text())["stats"]["attempts"][0]
+    assert attempt["extraction_mode"] == "local"
+    capsys.readouterr()
+    argv = ["densify", "--input", str(hg), "--mode", "local", "--seed", "0"]
+    assert run_cli(*argv) == EXIT_OK
+    subsets = [set(s) for s in json.loads(capsys.readouterr().out)["subsets"]]
+    assert [len(s) for s in subsets] == [attempt["s"]] * 3
+    edges = json.loads(hg.read_text())["edges"]
+    inside = [e for e in edges if all(v in s for v, s in zip(e, subsets))]
+    assert len(inside) == attempt["edges_in_s"]
 
 
 @pytest.mark.parametrize("mode", ["exact", "local"])

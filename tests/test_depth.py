@@ -382,6 +382,8 @@ def test_turn_key_orders_like_angles(vectors, stretch):
         vectors, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)]
     ):
         long = (x * stretch + dx, y * stretch + dy)
+        if long == (0, 0):
+            continue  # a unit vector nudged back to the origin has no direction
         long_key = _turn_key(*long, k, h)
         assert 0 <= long_key < 8 * h
         for w, kw in zip(vectors, keys):

@@ -1,5 +1,6 @@
 import heapq
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -23,7 +24,13 @@ from rainbowdepth import (
     partite_hypergraph,
     verify_property_ii,
 )
-from rainbowdepth.hypergraph import density_exponent, exact_tuple_count
+from rainbowdepth.depth import theoretical_constants
+from rainbowdepth.hypergraph import (
+    _mask_of,
+    _require_equal_parts,
+    density_exponent,
+    exact_tuple_count,
+)
 from test_acceptance import random_dense_hypergraph
 
 
@@ -298,6 +305,146 @@ def test_hexagon_hypergraph_cross_check():
         density_value(h, exact, eps) >= density_value(h, local, eps)
     )
     assert exact == ((0,), (1,), (0,))  # lexicographically first maximizer
+
+
+def _count_in_masks(edges: list[tuple[int, ...]], masks: list[int]) -> int:
+    count = 0
+    for e in edges:
+        for i, v in enumerate(e):
+            if not (masks[i] >> v) & 1:
+                break
+        else:
+            count += 1
+    return count
+
+
+def recounting_extract_dense_local(h, epsilon, seed: int = 0):
+    """Oracle for `extract_dense_local`: the same walk, scoring every
+    candidate box by recounting every edge."""
+    n = _require_equal_parts(h)
+    exponent = density_exponent(h.d, Fraction(epsilon))
+    edges = sorted(h.edges)
+    rng = random.Random(f"densify:{seed}")
+    current = [list(range(n)) for _ in range(h.num_parts)]
+
+    def value_of(subs: list[list[int]]) -> DensityValue:
+        e = _count_in_masks(edges, [_mask_of(tuple(s)) for s in subs])
+        return DensityValue(e, len(subs[0]), exponent)
+
+    current_value = value_of(current)
+    while True:
+        improved = False
+        # Simultaneous min-degree removal, only meaningful above size 1.
+        if len(current[0]) > 1:
+            masks = [_mask_of(tuple(s)) for s in current]
+            tied: list[list[int]] = []
+            for i, sub in enumerate(current):
+                degrees = {v: 0 for v in sub}
+                for e in edges:
+                    if all((masks[k] >> e[k]) & 1 for k in range(h.num_parts)):
+                        degrees[e[i]] += 1
+                low = min(degrees.values())
+                tied.append([v for v in sub if degrees[v] == low])
+            n_combos = math.prod(len(tv) for tv in tied)
+            if n_combos > 64:
+                tied = [tv[:1] for tv in tied]
+            best_candidate = None
+            best_value = None
+            for drops in itertools.product(*tied):
+                candidate = [
+                    [v for v in sub if v != drops[i]]
+                    for i, sub in enumerate(current)
+                ]
+                cand_value = value_of(candidate)
+                if best_value is None or cand_value > best_value:
+                    best_candidate, best_value = candidate, cand_value
+            if best_value is not None and best_value > current_value:
+                current, current_value = best_candidate, best_value
+                continue
+        # Single-vertex swaps, explored in a seeded order.
+        swaps = [
+            (i, u, w)
+            for i in range(h.num_parts)
+            for u in current[i]
+            for w in range(n)
+            if w not in current[i]
+        ]
+        rng.shuffle(swaps)
+        for i, u, w in swaps:
+            candidate = [list(s) for s in current]
+            candidate[i] = sorted(v for v in candidate[i] if v != u) + [w]
+            candidate[i].sort()
+            cand_value = value_of(candidate)
+            if cand_value > current_value:
+                current, current_value = candidate, cand_value
+                improved = True
+                break
+        if not improved:
+            break
+    return tuple(tuple(sorted(s)) for s in current)
+
+
+def _outcome(extract, h, epsilon, seed):
+    try:
+        return extract(h, epsilon, seed)
+    except ExactComparisonError as exc:
+        return type(exc), str(exc)
+
+
+def _complete(parts, n):
+    return partite_hypergraph([n] * parts, itertools.product(range(n), repeat=parts))
+
+
+@st.composite
+def local_search_hypergraphs(draw):
+    parts = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 7))
+    density = draw(st.sampled_from([0.0, 0.03, 0.1, 0.2, 0.5, 0.9, 0.97, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    return partite_hypergraph([n] * parts, [
+        e for e in itertools.product(range(n), repeat=parts)
+        if rng.random() < density
+    ])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    h=local_search_hypergraphs(),
+    seed=st.integers(0, 5),
+    epsilon=st.sampled_from([Fraction(1, 4), Fraction(1, 3), "paper"]),
+)
+# More than 64 tied drop combinations (the cap): complete and empty
+# boxes, where no drop helps; a diagonal, where dropping does; and a
+# shifted diagonal, where the capped choice (0, 0, 0) is not the best.
+@example(h=_complete(3, 5), seed=0, epsilon=Fraction(1, 4))
+@example(h=_complete(3, 7), seed=1, epsilon="paper")
+@example(h=partite_hypergraph([6] * 3, []), seed=2, epsilon=Fraction(1, 3))
+@example(
+    h=partite_hypergraph([5] * 3, [(v, v, v) for v in range(5)]),
+    seed=0,
+    epsilon=Fraction(1, 4),
+)
+@example(
+    h=partite_hypergraph([7] * 3, [(v, v, v) for v in range(7)]),
+    seed=3,
+    epsilon=Fraction(1, 3),
+)
+@example(
+    h=partite_hypergraph([5] * 3, [(v, (v + 1) % 5, (v + 2) % 5) for v in range(5)]),
+    seed=0,
+    epsilon=Fraction(1, 4),
+)
+# Sparse boxes on which a swap is accepted (rare on random input).
+@example(h=random_hypergraph(random.Random(3), [6] * 3, 0.1), seed=0, epsilon=Fraction(1, 4))
+@example(h=random_hypergraph(random.Random(27), [7] * 3, 0.1), seed=0, epsilon=Fraction(1, 4))
+@example(h=random_hypergraph(random.Random(16), [4] * 4, 0.1), seed=0, epsilon=Fraction(1, 4))
+@example(h=random_hypergraph(random.Random(3), [5] * 4, 0.2), seed=0, epsilon=Fraction(1, 4))
+def test_local_search_matches_recounting_oracle(h, seed, epsilon):
+    if epsilon == "paper":
+        epsilon = theoretical_constants(h.d, 1).epsilon
+    assert _outcome(extract_dense_local, h, epsilon, seed) == _outcome(
+        recounting_extract_dense_local, h, epsilon, seed
+    )
 
 
 def test_property_ii_examples():
