@@ -27,7 +27,6 @@ from .depth import (
     STRATEGIES,
     DepthResult,
     deepest_point,
-    rainbow_depth_at,
 )
 from .errors import (
     BudgetExceededError,
@@ -37,12 +36,13 @@ from .errors import (
     PipelineStageError,
     TrimExhaustedError,
 )
-from .geometry import format_rational, rational
+from .geometry import format_rational
 from .hypergraph import (
     DEFAULT_GATE,
     extract_dense_exact,
     extract_dense_local,
     hypergraph_from_json,
+    hypergraph_to_json,
 )
 from .pipeline import (
     PipelineParams,
@@ -50,6 +50,7 @@ from .pipeline import (
     load_report,
     report_bytes,
     report_o_and_q,
+    resolve_epsilon,
     run_pipeline,
     verify_certificate,
 )
@@ -90,12 +91,6 @@ def _error(kind: str, exc: Exception) -> None:
     if details:
         payload["details"] = json.loads(json.dumps(details, default=str))
     sys.stderr.write(json.dumps(payload, sort_keys=True) + "\n")
-
-
-def _parse_epsilon(text: str):
-    if text == "paper":
-        return "paper"
-    return rational(text)
 
 
 def _points_json(points) -> list:
@@ -235,11 +230,7 @@ def _cmd_tverberg(args) -> int:
 
 def _cmd_densify(args) -> int:
     h = hypergraph_from_json(_read(args.input))
-    epsilon = _parse_epsilon(args.epsilon)
-    if epsilon == "paper":
-        from .depth import theoretical_constants
-
-        epsilon = theoretical_constants(h.d, 1).epsilon
+    epsilon = resolve_epsilon(args.epsilon, h.d)
     if args.mode == "exact":
         subsets = extract_dense_exact(h, epsilon, gate=args.max_exact)[0]
     else:
@@ -269,7 +260,7 @@ def _cmd_separate(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_configuration(_read(args.input))
     params = PipelineParams(
-        epsilon=_parse_epsilon(args.epsilon),
+        epsilon=args.epsilon,
         depth_strategy=args.strategy,
         extraction=args.mode,
         seed=args.seed,
@@ -279,11 +270,7 @@ def _cmd_run(args) -> int:
     bundle = run_pipeline(cfg, params)
     _write_bytes(report_bytes(bundle), args.output)
     if args.hypergraph_out:
-        from .hypergraph import hypergraph_to_json, partite_hypergraph
-
-        info = rainbow_depth_at(cfg, bundle.o_point)
-        h = partite_hypergraph((cfg.n,) * cfg.num_colors, info.tuples)
-        _write_bytes(hypergraph_to_json(h), args.hypergraph_out)
+        _write_bytes(hypergraph_to_json(bundle.hypergraph), args.hypergraph_out)
     if args.svg:
         from .svg import render_svg
 

@@ -254,13 +254,17 @@ def _mask_of(sub: tuple[int, ...]) -> int:
     return m
 
 
-def exact_tuple_count(part_sizes: Sequence[int]) -> int:
+def exact_tuple_count(part_sizes: Sequence[int], cap: int | None = None) -> int:
     """Number of equal-size subset tuples the exact extraction ranks:
-    the sum over s = 1..min(part_sizes) of prod_i C(n_i, s)."""
-    return sum(
-        math.prod(math.comb(n_i, s) for n_i in part_sizes)
-        for s in range(1, min(part_sizes) + 1)
-    )
+    the sum over s = 1..min(part_sizes) of prod_i C(n_i, s).  The sum
+    only grows, so it stops once it passes `cap`: beyond the cap the
+    result is only some count above it."""
+    total = 0
+    for s in range(1, min(part_sizes) + 1):
+        total += math.prod(math.comb(n_i, s) for n_i in part_sizes)
+        if cap is not None and total > cap:
+            break
+    return total
 
 
 def extract_dense_exact(
@@ -292,10 +296,9 @@ def extract_dense_exact(
     """
     if top < 1:
         raise InputError(f"top must be at least 1, got {top}")
-    total = exact_tuple_count(h.part_sizes)
-    if total > gate:
+    if exact_tuple_count(h.part_sizes, gate) > gate:
         raise BudgetExceededError(
-            f"{total} candidate tuples exceed the gate {gate}; "
+            f"more than {gate} candidate tuples, the gate; "
             "use extract_dense_local instead"
         )
     exponent = density_exponent(h.d, Fraction(epsilon))
@@ -569,9 +572,21 @@ def hypergraph_to_json(h: PartiteHypergraph) -> bytes:
     return (json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
+def _json_ints(value, what: str) -> list[int]:
+    """A JSON list of integers, booleans excluded; else a ParseError."""
+    if not isinstance(value, list) or any(type(v) is not int for v in value):
+        raise ParseError(f"bad hypergraph JSON: {what} must be a list of integers")
+    return value
+
+
 def hypergraph_from_json(source) -> PartiteHypergraph:
     data = parse_json(source, "hypergraph JSON")
     try:
-        return partite_hypergraph(data["part_sizes"], data["edges"])
+        sizes, edges = data["part_sizes"], data["edges"]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad hypergraph JSON: {exc}") from exc
+    if not isinstance(edges, list):
+        raise ParseError("bad hypergraph JSON: edges must be a list")
+    return partite_hypergraph(
+        _json_ints(sizes, "part_sizes"), [_json_ints(e, "an edge") for e in edges]
+    )

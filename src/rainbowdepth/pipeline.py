@@ -46,6 +46,7 @@ from .errors import (
     InputError,
     PipelineStageError,
     TrimExhaustedError,
+    UnsupportedDimensionError,
 )
 from .geometry import (
     Point,
@@ -76,26 +77,29 @@ from .separation import (
 SCHEMA_VERSION = 1
 
 
+def resolve_epsilon(epsilon: Fraction | str, d: int) -> Fraction:
+    """The extraction's epsilon in (0, 1/2): a rational, or "paper" for
+    1/2^(d*2^d)."""
+    if epsilon == "paper":
+        return theoretical_constants(d, 1).epsilon
+    eps = rational(epsilon)
+    if not 0 < eps < Fraction(1, 2):
+        raise InputError("epsilon must lie in (0, 1/2)")
+    return eps
+
+
 @dataclass(frozen=True)
 class PipelineParams:
-    epsilon: Fraction | str = Fraction(1, 4)  # "paper" selects 1/2^(d*2^d)
+    epsilon: Fraction | str = Fraction(1, 4)  # see `resolve_epsilon`
     depth_strategy: str = DEFAULT_STRATEGY
     extraction: str = "auto"  # auto | exact | local
     seed: int = 0
     exact_gate: int = DEFAULT_GATE
     max_retries: int = 5
 
-    def resolve_epsilon(self, d: int) -> Fraction:
-        if self.epsilon == "paper":
-            return theoretical_constants(d, 1).epsilon
-        eps = rational(self.epsilon)
-        if not 0 < eps < Fraction(1, 2):
-            raise InputError("epsilon must lie in (0, 1/2)")
-        return eps
-
     def to_json_dict(self, d: int) -> dict:
         return {
-            "epsilon": format_rational(self.resolve_epsilon(d)),
+            "epsilon": format_rational(resolve_epsilon(self.epsilon, d)),
             "epsilon_requested": (
                 "paper" if self.epsilon == "paper" else format_rational(rational(self.epsilon))
             ),
@@ -122,6 +126,7 @@ class ResultBundle:
     verified: bool
     params: PipelineParams
     input_hash: str
+    hypergraph: PartiteHypergraph  # stage 2, not part of the report
 
     def min_ratio(self) -> Fraction:
         return min(self.ratios)
@@ -239,7 +244,7 @@ def verify_certificate(
     return None
 
 
-def all_or_none_check(q_sets, o_point: Point, assume_separated: bool = False) -> str:
+def all_or_none_check(q_sets, o_point: Point) -> str:
     """Classify containment of O over all rainbow tuples: "all", "none",
     or "mixed".  Requires {O} and the hulls of the Q_i to form a
     separated family, under which the answer is provably never "mixed";
@@ -250,14 +255,12 @@ def all_or_none_check(q_sets, o_point: Point, assume_separated: bool = False) ->
     q_sets = [tuple(point(p) for p in q) for q in q_sets]
     if any(not q for q in q_sets):
         raise InputError("all subsets must be nonempty")
-    if not assume_separated:
-        bodies = [[o_point]] + [list(q) for q in q_sets]
-        witness = is_separated_family(bodies)
-        if witness is not None:
-            raise InputError(
-                "family {O} + hulls not separated: tuple "
-                f"{witness.tuple_indices}, split {witness.split}"
-            )
+    witness = is_separated_family([[o_point]] + [list(q) for q in q_sets])
+    if witness is not None:
+        raise InputError(
+            "family {O} + hulls not separated: tuple "
+            f"{witness.tuple_indices}, split {witness.split}"
+        )
     saw_inside = saw_outside = False
     for choice in itertools.product(*[range(len(q)) for q in q_sets]):
         verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
@@ -275,11 +278,12 @@ def _extraction_candidates(
 ):
     """Ranked extraction attempts for the retry loop."""
     mode = params.extraction
+    gate = params.exact_gate
     if mode == "exact" or (
-        mode == "auto" and exact_tuple_count(h.part_sizes) <= params.exact_gate
+        mode == "auto" and exact_tuple_count(h.part_sizes, gate) <= gate
     ):
         ranked = extract_dense_exact(
-            h, epsilon, gate=params.exact_gate, top=params.max_retries + 1
+            h, epsilon, gate=gate, top=params.max_retries + 1
         )
         for subsets in ranked:
             yield "exact", subsets
@@ -321,10 +325,10 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
     """
     d = cfg.dimension
     if d != 2:
-        raise PipelineStageError(
-            "depth", f"full pipeline requires dimension 2, got {d}"
+        raise UnsupportedDimensionError(
+            f"full pipeline requires dimension 2, got {d}"
         )
-    epsilon = params.resolve_epsilon(d)
+    epsilon = resolve_epsilon(params.epsilon, d)
     if params.max_retries < 0:
         raise InputError(f"max_retries must be >= 0, got {params.max_retries}")
     input_hash = configuration_hash(cfg)
@@ -412,6 +416,7 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
             verified=True,
             params=params,
             input_hash=input_hash,
+            hypergraph=h,
         )
     assert last_error is not None
     raise PipelineStageError(

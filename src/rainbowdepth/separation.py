@@ -33,8 +33,8 @@ from .geometry import (
     format_rational,
     is_unambiguous,
     orientation,
-    orientation_form,
     point,
+    primitive_direction,
 )
 from .lp import OPTIMAL, solve_lp_max
 
@@ -43,13 +43,11 @@ DEFAULT_MAX_STEPS = 64
 
 @dataclass(frozen=True)
 class SeparationWitness:
-    """A (tuple, split) pair; `hyperplane` strictly separates the split
-    group from the rest of the tuple, or is None when no such hyperplane
-    exists (which is what makes the witness a failure report)."""
+    """A failing (tuple, split) pair: no hyperplane strictly separates
+    the split group from the rest of the tuple."""
 
     tuple_indices: tuple[int, ...]
     split: tuple[int, ...]
-    hyperplane: Hyperplane | None
 
 
 def _axis_separator(a_pts, b_pts) -> Hyperplane | None:
@@ -144,6 +142,18 @@ def _canonical_splits(tuple_indices: tuple[int, ...], d: int):
             yield (first,) + extra
 
 
+def _failing_splits(pts: list[list[Point]], d: int):
+    """Every (tuple, split) of the bodies `pts` whose split group cannot
+    be strictly separated from the rest of its (d+1)-tuple: tuples in
+    lexicographic order, splits in `_canonical_splits` order."""
+    for combo in itertools.combinations(range(len(pts)), d + 1):
+        for group in _canonical_splits(combo, d):
+            g_pts = [p for i in group for p in pts[i]]
+            h_pts = [p for i in combo if i not in group for p in pts[i]]
+            if strictly_separating_hyperplane(g_pts, h_pts) is None:
+                yield combo, group
+
+
 def is_separated_family(
     bodies: Sequence[Sequence[Point]],
 ) -> SeparationWitness | None:
@@ -155,24 +165,8 @@ def is_separated_family(
     d = len(pts[0][0])
     if len(pts) < d + 1:
         raise InputError(f"need at least d+1 = {d + 1} bodies, got {len(pts)}")
-    for combo in itertools.combinations(range(len(pts)), d + 1):
-        for group in _canonical_splits(combo, d):
-            rest = tuple(i for i in combo if i not in group)
-            g_pts = [p for i in group for p in pts[i]]
-            h_pts = [p for i in rest for p in pts[i]]
-            if strictly_separating_hyperplane(g_pts, h_pts) is None:
-                return SeparationWitness(combo, group, None)
-    return None
-
-
-def _distinct(points):
-    seen = []
-    out = []
-    for p in points:
-        if p not in seen:
-            seen.append(p)
-            out.append(p)
-    return out
+    failing = next(_failing_splits(pts, d), None)
+    return None if failing is None else SeparationWitness(*failing)
 
 
 def _line_meets_hull(h: Hyperplane, body: Sequence[Point]) -> bool:
@@ -180,22 +174,10 @@ def _line_meets_hull(h: Hyperplane, body: Sequence[Point]) -> bool:
     return not (signs == {1} or signs == {-1})
 
 
-def _primitive_fracs(a: Fraction, b: Fraction) -> tuple[int, int]:
-    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
-    ia, ib = int(a * den), int(b * den)
-    g = math.gcd(abs(ia), abs(ib))
-    if g:
-        ia, ib = ia // g, ib // g
-    if ia < 0 or (ia == 0 and ib < 0):
-        ia, ib = -ia, -ib
-    return ia, ib
-
-
 def _line_through(p: Point, q: Point) -> Hyperplane:
-    a = q[1] - p[1]
-    b = p[0] - q[0]
-    ia, ib = _primitive_fracs(a, b)
-    normal = (Fraction(ia), Fraction(ib))
+    a, b = q[1] - p[1], p[0] - q[0]
+    den = math.lcm(a.denominator, b.denominator)
+    normal = tuple(map(Fraction, primitive_direction(int(a * den), int(b * den))))
     return Hyperplane(normal, normal[0] * p[0] + normal[1] * p[1])
 
 
@@ -207,33 +189,23 @@ def _line_sort_key(h: Hyperplane):
 
 
 def hyperplane_transversal_exists(
-    bodies: Sequence[Sequence[Point]], mode: str = "exact"
+    bodies: Sequence[Sequence[Point]],
 ) -> tuple[bool, Hyperplane | None]:
-    """Does one hyperplane meet every closed convex hull?
+    """Does one line meet every closed convex hull?  Planar only.
 
-    Exact in the plane: if a transversal exists, one exists through two
-    points of the union (translate a transversal until it supports a
-    hull at a vertex, then rotate about that vertex to a second
-    contact), so sweeping all point-pair lines decides.  For d != 2 only
-    a sampled diagnostic is offered: a True answer is certified by its
-    witness, a False answer is inconclusive.
+    If a transversal exists, one exists through two points of the union
+    (translate a transversal until it supports a hull at a vertex, then
+    rotate about that vertex to a second contact), so sweeping all
+    point-pair lines decides.
     """
     pts = [[point(p) for p in body] for body in bodies]
     if not pts or any(not body for body in pts):
         raise InputError("bodies must be nonempty point sets")
-    d = len(pts[0][0])
-    union = _distinct([p for body in pts for p in body])
-    if d != 2:
-        if mode != "sampled":
-            raise UnsupportedDimensionError(
-                "exact transversal decision requires dimension 2; "
-                "pass mode='sampled' for the diagnostic"
-            )
-        for combo in itertools.combinations(union, d):
-            h = _hyperplane_through(combo)
-            if h is not None and all(_line_meets_hull(h, body) for body in pts):
-                return True, h
-        return False, None
+    if len(pts[0][0]) != 2:
+        raise UnsupportedDimensionError(
+            "transversal decision requires dimension 2"
+        )
+    union = list(dict.fromkeys(p for body in pts for p in body))
     if len(union) == 1:
         p = union[0]
         return True, Hyperplane((Fraction(0), Fraction(1)), p[1])
@@ -245,14 +217,6 @@ def hyperplane_transversal_exists(
         if all(_line_meets_hull(h, body) for body in pts):
             return True, h
     return False, None
-
-
-def _hyperplane_through(points_d: Sequence[Point]) -> Hyperplane | None:
-    """Hyperplane through d points in dimension d (None if degenerate)."""
-    coeffs, const = orientation_form(points_d, len(points_d))
-    if all(c == 0 for c in coeffs):
-        return None
-    return Hyperplane(tuple(coeffs), -const)
 
 
 def satisfies_bisection_contract(
@@ -294,7 +258,7 @@ def ham_sandwich_cut(
         anchor = point(anchor)
         if len(sets) > 1:
             raise InputError("anchored cut bisects at most one set")
-        for p in _distinct([p for pts in sets for p in pts]):
+        for p in dict.fromkeys(p for pts in sets for p in pts):
             if p != anchor:
                 add(_line_through(anchor, p))
         add(Hyperplane((Fraction(0), Fraction(1)), anchor[1]))
@@ -302,7 +266,7 @@ def ham_sandwich_cut(
     else:
         if len(sets) > 2:
             raise InputError("unanchored cut bisects at most two sets")
-        union = _distinct([p for pts in sets for p in pts])
+        union = list(dict.fromkeys(p for pts in sets for p in pts))
         for p, q in itertools.combinations(union, 2):
             add(_line_through(p, q))
         for p in union:
@@ -421,104 +385,73 @@ def trim_to_separated(
         raise InputError(
             "O is collinear with two points of different input sets"
         )
-    current: list[list[int]] = [list(range(len(pts))) for pts in sets]
+    current = [list(range(len(pts))) for pts in sets]
     steps: list[TrimStep] = []
 
-    def body_points(i: int) -> list[Point]:
-        if i == 0:
-            return [o_point]
-        return [sets[i - 1][j] for j in current[i - 1]]
+    def bodies(kept: list[list[int]]) -> list[list[Point]]:
+        """{O}, then the kept points of each set (body i is set i - 1)."""
+        return [[o_point]] + [
+            [sets[i][j] for j in idx] for i, idx in enumerate(kept)
+        ]
 
-    def bodies() -> list[list[Point]]:
-        return [body_points(i) for i in range(len(sets) + 1)]
-
-    def violation_count() -> int:
-        count = 0
-        pts = bodies()
-        for combo in itertools.combinations(range(len(pts)), 3):
-            for group in _canonical_splits(combo, 2):
-                rest = tuple(i for i in combo if i not in group)
-                g_pts = [p for i in group for p in pts[i]]
-                h_pts = [p for i in rest for p in pts[i]]
-                if strictly_separating_hyperplane(g_pts, h_pts) is None:
-                    count += 1
-        return count
-
-    def simulate(h: Hyperplane, group: tuple[int, ...], combo: tuple[int, ...]):
-        """Per-set kept/discarded original indices under the cut."""
+    def cut(h: Hyperplane, grp: tuple[int, ...], combo: tuple[int, ...]):
+        """Per set, the kept and the discarded original indices: a body
+        of the tuple drops its points strictly above h when in `grp`,
+        else those strictly below."""
         kept, discarded = [], []
-        for si in range(len(sets)):
-            body = si + 1
-            keep, drop = list(current[si]), []
+        for body, idx in enumerate(current, 1):
+            drop = []
             if body in combo:
-                drop_sign = 1 if body in group else -1
-                keep, drop = [], []
-                for j in current[si]:
-                    if h.side(sets[si][j]) == drop_sign:
-                        drop.append(j)
-                    else:
-                        keep.append(j)
-            kept.append(keep)
+                sign = 1 if body in grp else -1
+                drop = [j for j in idx if h.side(sets[body - 1][j]) == sign]
+            kept.append([j for j in idx if j not in drop])
             discarded.append(drop)
         return kept, discarded
 
     # One separation check per step, and one after the last allowed cut.
     for step in range(max_steps + 1):
-        witness = is_separated_family(bodies())
+        pts = bodies(current)
+        witness = is_separated_family(pts)
         if witness is None:
-            final_sizes = tuple(len(c) for c in current)
-            trace = TrimTrace(tuple(steps), final_sizes)
-            q_sets = [
-                tuple(sets[i][j] for j in current[i]) for i in range(len(sets))
-            ]
-            return q_sets, trace
+            trace = TrimTrace(tuple(steps), tuple(map(len, current)))
+            return [tuple(body) for body in pts[1:]], trace
         if step == max_steps:
             break
         combo, group = witness.tuple_indices, witness.split
         rest = tuple(i for i in combo if i not in group)
-        # The designated set's group keeps the "above" side; the other
-        # group of the split discards its points above the cut.
-        if 0 in combo:
-            real = [b for b in combo if b != 0]
-            options = []
-            for c_body in real:
-                d_body = next(b for b in real if b != c_body)
-                h = ham_sandwich_cut([body_points(c_body)], anchor=o_point)
-                h = _oriented_for_designated(h, body_points(d_body))
-                grp = group if d_body in rest else rest
-                options.append((c_body, h, grp))
+        # (bisected body, designated body, cut).  With {O} in the tuple
+        # the line through O bisects either real body and the other is
+        # designated; else the first two are bisected, the last designated.
+        if combo[0] == 0:
+            a, b = combo[1:]
+            cuts = [
+                (c, e, ham_sandwich_cut([pts[c]], anchor=o_point))
+                for c, e in ((a, b), (b, a))
+            ]
         else:
-            d_body = max(combo)
-            bis = [b for b in combo if b != d_body]
-            h = ham_sandwich_cut([body_points(bis[0]), body_points(bis[1])])
-            h = _oriented_for_designated(h, body_points(d_body))
-            grp = group if d_body in rest else rest
-            options = [(None, h, grp)]
-
+            a, b, e = combo
+            cuts = [(a, e, ham_sandwich_cut([pts[a], pts[b]]))]
         best = None
         any_progress = False
-        for c_body, h, grp in options:
-            kept, discarded = simulate(h, grp, combo)
-            n_discarded = sum(len(dr) for dr in discarded)
-            if n_discarded == 0:
+        for c_body, d_body, h in cuts:
+            # The designated set's group keeps the "above" side; the
+            # other group of the split discards its points above the cut.
+            h = _oriented_for_designated(h, pts[d_body])
+            grp = group if d_body in rest else rest
+            kept, discarded = cut(h, grp, combo)
+            if not any(discarded):
                 continue
             any_progress = True
-            if any(not k for k in kept):
+            if not all(kept):
                 continue
-            if len(options) > 1:
-                saved = [list(c) for c in current]
-                for si in range(len(sets)):
-                    current[si] = kept[si]
-                viol = violation_count()
-                for si in range(len(sets)):
-                    current[si] = saved[si]
-            else:
-                viol = 0
-            key = (viol, c_body if c_body is not None else 0)
-            if best is None or key < best[0]:
-                best = (key, h, grp, kept, discarded)
+            # Between two cuts, prefer the one leaving fewer failing splits.
+            viol = 0
+            if len(cuts) > 1:
+                viol = sum(1 for _ in _failing_splits(bodies(kept), 2))
+            if best is None or (viol, c_body) < best[0]:
+                best = ((viol, c_body), h, kept, discarded)
         if best is None:
-            trace = TrimTrace(tuple(steps), tuple(len(c) for c in current))
+            trace = TrimTrace(tuple(steps), tuple(map(len, current)))
             if any_progress:
                 raise TrimExhaustedError(
                     "trim exhausted: every admissible cut empties a set",
@@ -528,19 +461,17 @@ def trim_to_separated(
                 "trim stalled: no cut discards anything for the failing split",
                 trace=trace,
             )
-        _, h, grp, kept, discarded = best
-        for si in range(len(sets)):
-            current[si] = kept[si]
+        _, h, current, discarded = best
         steps.append(
             TrimStep(
                 tuple_indices=combo,
                 split=group,
                 hyperplane=h,
-                discarded=tuple(tuple(dr) for dr in discarded),
-                sizes_after=tuple(len(c) for c in current),
+                discarded=tuple(map(tuple, discarded)),
+                sizes_after=tuple(map(len, current)),
             )
         )
-    trace = TrimTrace(tuple(steps), tuple(len(c) for c in current))
+    trace = TrimTrace(tuple(steps), tuple(map(len, current)))
     raise TrimExhaustedError(
         f"trim did not reach a separated family within {max_steps} steps",
         trace=trace,

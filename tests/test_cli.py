@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -26,6 +27,7 @@ from rainbowdepth.cli import (
     EXIT_VERIFICATION,
     cli_main,
 )
+from rainbowdepth.config import json_point, load_configuration
 from rainbowdepth.errors import ExactComparisonError
 from rainbowdepth.lp import LPResult
 
@@ -242,6 +244,87 @@ def test_verify_builds_one_sign_table(tmp_path, capsys, monkeypatch, n):
     assert run_cli("verify", "--input", str(cfg), "--report", str(report)) == EXIT_OK
     assert json.loads(capsys.readouterr().out) == {"verified": True}
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("dump", [False, True])
+def test_run_builds_two_sign_tables(tmp_path, capsys, monkeypatch, dump):
+    # One table of O for the depth recount, one for the verification;
+    # the hypergraph dump is the pipeline's own, not a rebuilt one.
+    cfg, report, hg = (tmp_path / name for name in ("cfg.json", "r.json", "h.json"))
+    assert run_cli("gen", "--seed", "0", "--n", "8", "--output", str(cfg)) == EXIT_OK
+    original, calls = geometry.pair_sign_table, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (geometry, depth, pipeline):
+        monkeypatch.setattr(module, "pair_sign_table", counted)
+    argv = ["run", "--input", str(cfg), "--output", str(report)]
+    assert run_cli(*argv, *(["--hypergraph-out", str(hg)] if dump else [])) == EXIT_OK
+    assert len(calls) == 2
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "dfe0d0314c7576e6bc796685d490a7c3f72ad8f824cbe2ae19279f73912b503c"
+    )
+    if dump:
+        assert hashlib.sha256(hg.read_bytes()).hexdigest() == (
+            "4bf004409432952df7be335ebd4ab37445365b01d34e2bcbbd89d2984d00b66b"
+        )
+        configuration = load_configuration(cfg.read_bytes())
+        info = depth.rainbow_depth_at(
+            configuration, json_point(json.loads(report.read_text())["O"])
+        )
+        h = hypergraph.partite_hypergraph((8, 8, 8), info.tuples)
+        assert hg.read_bytes() == hypergraph.hypergraph_to_json(h)
+
+
+def test_run_refuses_dimension_3_as_input(tmp_path, capsys):
+    cfg = tmp_path / "cfg3.json"
+    argv = ["gen", "--seed", "1", "--n", "2", "--dim", "3", "--output", str(cfg)]
+    assert run_cli(*argv) == EXIT_OK
+    assert run_cli("run", "--input", str(cfg)) == EXIT_INPUT
+    message = "full pipeline requires dimension 2, got 3"
+    assert _one_json_error(capsys) == {"error": "input", "message": message}
+
+
+def test_densify_gate_refuses_huge_parts_at_once(tmp_path, capsys):
+    # The tuple count stops at the gate: it never sums the ~10^5 terms.
+    hg = tmp_path / "h.json"
+    hg.write_text(json.dumps({"part_sizes": [10**5] * 3, "edges": []}))
+    assert run_cli("densify", "--input", str(hg)) == EXIT_BUDGET
+    err = _one_json_error(capsys)
+    assert err["error"] == "budget"
+    assert err["message"] == (
+        "more than 10000000 candidate tuples, the gate; use extract_dense_local instead"
+    )
+
+
+_GOOD_HYPERGRAPH = {"part_sizes": [2, 2, 2], "edges": [[0, 1, 0], [1, 1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"edges": [[0.9, 1, 0]]},
+        {"edges": [[True, 1, 0]]},
+        {"edges": [["1", 1, 0]]},
+        {"edges": [[0, 1, None]]},
+        {"edges": ["010"]},
+        {"edges": {"0": [0, 1, 0]}},
+        {"part_sizes": [2.7, 2, 2]},
+        {"part_sizes": [2, True, 2]},
+        {"part_sizes": "222"},
+        {"part_sizes": {"a": 2}},
+    ],
+)
+def test_densify_reads_only_json_integers(tmp_path, capsys, change):
+    hg = tmp_path / "h.json"
+    hg.write_text(json.dumps(_GOOD_HYPERGRAPH))
+    assert run_cli("densify", "--input", str(hg)) == EXIT_OK
+    capsys.readouterr()
+    hg.write_text(json.dumps({**_GOOD_HYPERGRAPH, **change}))
+    assert run_cli("densify", "--input", str(hg)) == EXIT_INPUT
+    assert _one_json_error(capsys)["error"] == "input"
 
 
 def test_densify_local_reproduces_the_run_extraction(tmp_path, capsys):

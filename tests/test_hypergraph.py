@@ -272,6 +272,16 @@ def test_exact_tuple_count():
     assert exact_tuple_count([7, 7, 7]) == 104_959
 
 
+def test_exact_tuple_count_stops_past_the_cap():
+    # Within the cap the count is exact; past it, only some count above
+    # it, which is all a gate needs (part sizes 10^5 return at once).
+    assert exact_tuple_count([7, 7, 7], 104_959) == 104_959
+    assert exact_tuple_count([7, 7, 7], 10**7) == 104_959
+    assert exact_tuple_count([7, 7, 7], 104_958) > 104_958
+    assert exact_tuple_count([7, 7, 7], 100) == 7**3
+    assert exact_tuple_count([10**5] * 3, 10**7) == 10**15
+
+
 def test_extract_local_complete_and_bound():
     h = complete_222()
     assert extract_dense_local(h, Fraction(1, 4)) == ((0, 1), (0, 1), (0, 1))

@@ -1,8 +1,10 @@
+import collections
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from rainbowdepth import (
@@ -23,12 +25,21 @@ from rainbowdepth import (
     trim_to_separated,
 )
 from rainbowdepth.geometry import (
+    Hyperplane,
     affine_image,
     convex_hull_2d,
     is_unambiguous,
     point_in_simplex_interior,
 )
-from rainbowdepth.separation import TrimTrace
+from rainbowdepth.separation import (
+    DEFAULT_MAX_STEPS,
+    TrimStep,
+    TrimTrace,
+    _canonical_splits,
+    _line_meets_hull,
+    _line_sort_key,
+    _oriented_for_designated,
+)
 from tests.conftest import random_rational_point
 
 
@@ -102,7 +113,6 @@ def test_separated_family_examples():
     witness = is_separated_family([[point(0, 0)], [point(1, 0)], [point(2, 0)]])
     assert witness is not None
     assert witness.tuple_indices == (0, 1, 2)
-    assert witness.hyperplane is None
     # outer pair cannot be separated from the middle point
     assert witness.split == (0, 2)
 
@@ -148,8 +158,6 @@ def test_transversal_dimension_gate():
     singleton3 = [[point(0, 0, 0)], [point(1, 0, 0)], [point(2, 0, 0)], [point(0, 1, 2)]]
     with pytest.raises(UnsupportedDimensionError):
         hyperplane_transversal_exists(singleton3)
-    exists, h = hyperplane_transversal_exists(singleton3, mode="sampled")
-    assert isinstance(exists, bool)
 
 
 def test_goodman_pollack_equivalence(rng):
@@ -292,31 +300,31 @@ def test_trim_rejects_negative_max_steps():
 
 
 def test_trim_random_instances():
+    """The 30 `gen` seeds at n = 6 around the deepest point: the trim
+    matches the reference, and what it returns is sound."""
     max_steps_seen = 0
     for seed in range(30):
         cfg = generate(GeneratorSpec(seed=seed, n=6, d=2))
         o_point = deepest_point(cfg, seed=seed).witness
-        try:
-            q, trace = trim_to_separated(
-                [list(c) for c in cfg.colors], o_point
-            )
-        except TrimExhaustedError:
+        kind, q, trace = assert_trims_agree([list(c) for c in cfg.colors], o_point)
+        if kind is TrimExhaustedError:
             continue  # a failure is an allowed outcome; soundness is what matters
-        max_steps_seen = max(max_steps_seen, trace.step_count)
+        assert kind == "ok"
+        max_steps_seen = max(max_steps_seen, trace["step_count"])
         # final family separated, every set retains at least one point
         assert all(len(s) >= 1 for s in q)
         assert is_separated_family([[o_point]] + [list(s) for s in q]) is None
         # per-step accounting: half-loss bound, O never among discards
         sizes = [cfg.n] * 3
-        for step in trace.steps:
-            for i, dropped in enumerate(step.discarded):
+        for step in trace["steps"]:
+            for i, dropped in enumerate(step["discarded"]):
                 assert len(dropped) <= sizes[i] - (sizes[i] // 2)  # ceil bound
                 sizes[i] -= len(dropped)
                 for j in dropped:
                     assert cfg.colors[i][j] != o_point
-            assert tuple(sizes) == step.sizes_after
-            assert sum(len(d) for d in step.discarded) >= 1
-        assert tuple(sizes) == trace.final_sizes
+            assert sizes == step["sizes_after"]
+            assert sum(len(d) for d in step["discarded"]) >= 1
+        assert sizes == trace["final_sizes"]
     # the paper-derived ceiling (d+2)*2^d = 16 is reported, not asserted
     print(f"\nmax trim steps over random instances: {max_steps_seen} (ceiling 16)")
 
@@ -425,3 +433,326 @@ def test_complete_box_is_separated(seed, n, distribution, deepest, weights):
             assert [list(qi) for qi in q] == sets
             assert trace == TrimTrace((), tuple(len(si) for si in sets))
         separated.append(box)
+
+
+# --- reference implementations ---------------------------------------------
+#
+# The module as it was before the family check and the trim's look-ahead
+# shared one failing-split walk: the trim below is the former one
+# verbatim, with a second copy of the walk in `violation_count` and its
+# own normalisation of lines.  Only the calls between the copies are
+# renamed, and the witness is a plain tuple.
+
+RefWitness = collections.namedtuple("RefWitness", "tuple_indices split hyperplane")
+
+
+def reference_is_separated_family(bodies):
+    pts = [[point(p) for p in body] for body in bodies]
+    if not pts or any(not body for body in pts):
+        raise InputError("bodies must be nonempty point sets")
+    d = len(pts[0][0])
+    if len(pts) < d + 1:
+        raise InputError(f"need at least d+1 = {d + 1} bodies, got {len(pts)}")
+    for combo in itertools.combinations(range(len(pts)), d + 1):
+        for group in _canonical_splits(combo, d):
+            rest = tuple(i for i in combo if i not in group)
+            g_pts = [p for i in group for p in pts[i]]
+            h_pts = [p for i in rest for p in pts[i]]
+            if strictly_separating_hyperplane(g_pts, h_pts) is None:
+                return RefWitness(combo, group, None)
+    return None
+
+
+def _reference_distinct(points):
+    seen = []
+    out = []
+    for p in points:
+        if p not in seen:
+            seen.append(p)
+            out.append(p)
+    return out
+
+
+def _reference_primitive_fracs(a, b):
+    den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
+    ia, ib = int(a * den), int(b * den)
+    g = math.gcd(abs(ia), abs(ib))
+    if g:
+        ia, ib = ia // g, ib // g
+    if ia < 0 or (ia == 0 and ib < 0):
+        ia, ib = -ia, -ib
+    return ia, ib
+
+
+def _reference_line_through(p, q):
+    a = q[1] - p[1]
+    b = p[0] - q[0]
+    ia, ib = _reference_primitive_fracs(a, b)
+    normal = (Fraction(ia), Fraction(ib))
+    return Hyperplane(normal, normal[0] * p[0] + normal[1] * p[1])
+
+
+def reference_transversal_exists(bodies):
+    """The former exact (planar) path of `hyperplane_transversal_exists`."""
+    pts = [[point(p) for p in body] for body in bodies]
+    union = _reference_distinct([p for body in pts for p in body])
+    if len(union) == 1:
+        p = union[0]
+        return True, Hyperplane((Fraction(0), Fraction(1)), p[1])
+    candidates = {}
+    for p, q in itertools.combinations(union, 2):
+        h = _reference_line_through(p, q)
+        candidates[(h.normal, h.offset)] = h
+    for h in sorted(candidates.values(), key=_line_sort_key):
+        if all(_line_meets_hull(h, body) for body in pts):
+            return True, h
+    return False, None
+
+
+def reference_ham_sandwich_cut(point_sets, anchor=None):
+    sets = [[point(p) for p in pts] for pts in point_sets]
+    candidates = {}
+
+    def add(h):
+        candidates[(h.normal, h.offset)] = h
+
+    if anchor is not None:
+        anchor = point(anchor)
+        for p in _reference_distinct([p for pts in sets for p in pts]):
+            if p != anchor:
+                add(_reference_line_through(anchor, p))
+        add(Hyperplane((Fraction(0), Fraction(1)), anchor[1]))
+        add(Hyperplane((Fraction(1), Fraction(0)), anchor[0]))
+    else:
+        union = _reference_distinct([p for pts in sets for p in pts])
+        for p, q in itertools.combinations(union, 2):
+            add(_reference_line_through(p, q))
+        for p in union:
+            add(Hyperplane((Fraction(0), Fraction(1)), p[1]))
+            add(Hyperplane((Fraction(1), Fraction(0)), p[0]))
+        if not union:
+            add(Hyperplane((Fraction(0), Fraction(1)), Fraction(0)))
+    for h in sorted(candidates.values(), key=_line_sort_key):
+        if anchor is not None and h.side(anchor) != 0:
+            continue
+        if satisfies_bisection_contract(h, sets):
+            return h
+    raise AssertionError("no valid ham-sandwich candidate: contract violated")
+
+
+def reference_trim_to_separated(point_sets, o_point, max_steps=DEFAULT_MAX_STEPS):
+    if max_steps < 0:
+        raise InputError(f"max_steps must be >= 0, got {max_steps}")
+    o_point = point(o_point)
+    if len(o_point) != 2:
+        raise UnsupportedDimensionError("trimming implemented for dimension 2")
+    sets = [tuple(point(p) for p in pts) for pts in point_sets]
+    if any(not pts for pts in sets):
+        raise InputError("input sets must be nonempty")
+    if not is_unambiguous(sets, o_point):
+        raise InputError(
+            "O is collinear with two points of different input sets"
+        )
+    current: list[list[int]] = [list(range(len(pts))) for pts in sets]
+    steps: list[TrimStep] = []
+
+    def body_points(i: int):
+        if i == 0:
+            return [o_point]
+        return [sets[i - 1][j] for j in current[i - 1]]
+
+    def bodies():
+        return [body_points(i) for i in range(len(sets) + 1)]
+
+    def violation_count() -> int:
+        count = 0
+        pts = bodies()
+        for combo in itertools.combinations(range(len(pts)), 3):
+            for group in _canonical_splits(combo, 2):
+                rest = tuple(i for i in combo if i not in group)
+                g_pts = [p for i in group for p in pts[i]]
+                h_pts = [p for i in rest for p in pts[i]]
+                if strictly_separating_hyperplane(g_pts, h_pts) is None:
+                    count += 1
+        return count
+
+    def simulate(h, group, combo):
+        """Per-set kept/discarded original indices under the cut."""
+        kept, discarded = [], []
+        for si in range(len(sets)):
+            body = si + 1
+            keep, drop = list(current[si]), []
+            if body in combo:
+                drop_sign = 1 if body in group else -1
+                keep, drop = [], []
+                for j in current[si]:
+                    if h.side(sets[si][j]) == drop_sign:
+                        drop.append(j)
+                    else:
+                        keep.append(j)
+            kept.append(keep)
+            discarded.append(drop)
+        return kept, discarded
+
+    # One separation check per step, and one after the last allowed cut.
+    for step in range(max_steps + 1):
+        witness = reference_is_separated_family(bodies())
+        if witness is None:
+            final_sizes = tuple(len(c) for c in current)
+            trace = TrimTrace(tuple(steps), final_sizes)
+            q_sets = [
+                tuple(sets[i][j] for j in current[i]) for i in range(len(sets))
+            ]
+            return q_sets, trace
+        if step == max_steps:
+            break
+        combo, group = witness.tuple_indices, witness.split
+        rest = tuple(i for i in combo if i not in group)
+        # The designated set's group keeps the "above" side; the other
+        # group of the split discards its points above the cut.
+        if 0 in combo:
+            real = [b for b in combo if b != 0]
+            options = []
+            for c_body in real:
+                d_body = next(b for b in real if b != c_body)
+                h = reference_ham_sandwich_cut([body_points(c_body)], anchor=o_point)
+                h = _oriented_for_designated(h, body_points(d_body))
+                grp = group if d_body in rest else rest
+                options.append((c_body, h, grp))
+        else:
+            d_body = max(combo)
+            bis = [b for b in combo if b != d_body]
+            h = reference_ham_sandwich_cut([body_points(bis[0]), body_points(bis[1])])
+            h = _oriented_for_designated(h, body_points(d_body))
+            grp = group if d_body in rest else rest
+            options = [(None, h, grp)]
+
+        best = None
+        any_progress = False
+        for c_body, h, grp in options:
+            kept, discarded = simulate(h, grp, combo)
+            n_discarded = sum(len(dr) for dr in discarded)
+            if n_discarded == 0:
+                continue
+            any_progress = True
+            if any(not k for k in kept):
+                continue
+            if len(options) > 1:
+                saved = [list(c) for c in current]
+                for si in range(len(sets)):
+                    current[si] = kept[si]
+                viol = violation_count()
+                for si in range(len(sets)):
+                    current[si] = saved[si]
+            else:
+                viol = 0
+            key = (viol, c_body if c_body is not None else 0)
+            if best is None or key < best[0]:
+                best = (key, h, grp, kept, discarded)
+        if best is None:
+            trace = TrimTrace(tuple(steps), tuple(len(c) for c in current))
+            if any_progress:
+                raise TrimExhaustedError(
+                    "trim exhausted: every admissible cut empties a set",
+                    trace=trace,
+                )
+            raise TrimExhaustedError(
+                "trim stalled: no cut discards anything for the failing split",
+                trace=trace,
+            )
+        _, h, grp, kept, discarded = best
+        for si in range(len(sets)):
+            current[si] = kept[si]
+        steps.append(
+            TrimStep(
+                tuple_indices=combo,
+                split=group,
+                hyperplane=h,
+                discarded=tuple(tuple(dr) for dr in discarded),
+                sizes_after=tuple(len(c) for c in current),
+            )
+        )
+    trace = TrimTrace(tuple(steps), tuple(len(c) for c in current))
+    raise TrimExhaustedError(
+        f"trim did not reach a separated family within {max_steps} steps",
+        trace=trace,
+    )
+
+
+def trim_outcome(trim, sets, o_point, max_steps=DEFAULT_MAX_STEPS):
+    """What a trim returns, or the class, message and partial trace of
+    what it raises, in a form two implementations can be compared on."""
+    try:
+        q, trace = trim(sets, o_point, max_steps)
+    except (InputError, TrimExhaustedError) as exc:
+        trace = getattr(exc, "trace", None)
+        return type(exc), str(exc), trace and trace.to_json_dict()
+    return "ok", q, trace.to_json_dict()
+
+
+def assert_trims_agree(sets, o_point, max_steps=DEFAULT_MAX_STEPS):
+    outcome = trim_outcome(trim_to_separated, sets, o_point, max_steps)
+    reference = trim_outcome(reference_trim_to_separated, sets, o_point, max_steps)
+    assert outcome == reference
+    return outcome
+
+
+def test_trim_stalled_branch_matches_reference():
+    """No cut of the failing split discards anything: both trims stop
+    after the same two steps with the same message."""
+    sets = [
+        [point(3, -1), point(1, -8)],
+        [point(-1, 9), point(2, -5), point(7, 7), point(-3, -7)],
+        [point(-2, 3), point(3, 5), point(4, 0)],
+    ]
+    kind, message, trace = assert_trims_agree(sets, point("-17/2", -5))
+    assert kind is TrimExhaustedError
+    assert message == "trim stalled: no cut discards anything for the failing split"
+    assert [step["sizes_after"] for step in trace["steps"]] == [[1, 2, 3], [1, 1, 3]]
+    assert trace["final_sizes"] == [1, 1, 3]
+
+
+_coordinate = st.one_of(
+    st.integers(-5, 5).map(Fraction), st.fractions(-5, 5, max_denominator=3)
+)
+_point = st.tuples(_coordinate, _coordinate)
+
+
+@st.composite
+def trim_inputs(draw):
+    """2-5 sets of 1-5 points on small grids, repeats and collinear
+    points allowed, and O either a grid point or on a line through two
+    points of one set (a finer grid, so that O is mostly unambiguous)."""
+    points = st.lists(_point, min_size=1, max_size=5)
+    sets = draw(st.lists(points, min_size=2, max_size=5))
+    lined = [pts for pts in sets if len(set(pts)) > 1]
+    if lined and draw(st.booleans()):
+        p, q = list(dict.fromkeys(draw(st.sampled_from(lined))))[:2]
+        t = draw(st.sampled_from([Fraction(-1, 2), Fraction(1, 3), Fraction(3, 2)]))
+        o_point = tuple(a + t * (b - a) for a, b in zip(p, q))
+    else:
+        coordinate = st.fractions(-5, 5, max_denominator=7)
+        o_point = draw(st.tuples(coordinate, coordinate))
+    return sets, o_point, draw(st.sampled_from([0, 1, 2, 64, 64, 64]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(trim_inputs())
+def test_separation_matches_reference(case):
+    """The trim, the family check, the transversal decision and both
+    ham-sandwich cuts give what the reference implementations give."""
+    sets, o_point, max_steps = case
+    kind, _, trace = assert_trims_agree(sets, o_point, max_steps)
+    steps = trace and trace["step_count"]
+    event(f"trim: {getattr(kind, '__name__', kind)}, steps {steps}")
+    bodies = [[o_point]] + sets
+    witness = is_separated_family(bodies)
+    reference = reference_is_separated_family(bodies)
+    assert (witness is None) == (reference is None)
+    if witness is not None:
+        assert (witness.tuple_indices, witness.split) == reference[:2]
+    assert hyperplane_transversal_exists(sets) == reference_transversal_exists(sets)
+    assert ham_sandwich_cut(sets[:2]) == reference_ham_sandwich_cut(sets[:2])
+    assert ham_sandwich_cut(sets[:1], anchor=o_point) == reference_ham_sandwich_cut(
+        sets[:1], anchor=o_point
+    )
