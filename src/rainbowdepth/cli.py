@@ -38,9 +38,7 @@ from .errors import (
 )
 from .geometry import format_rational
 from .hypergraph import (
-    DEFAULT_GATE,
     extract_dense_exact,
-    extract_dense_local,
     hypergraph_from_json,
     hypergraph_to_json,
 )
@@ -54,7 +52,7 @@ from .pipeline import (
     run_pipeline,
     verify_certificate,
 )
-from .separation import DEFAULT_MAX_STEPS, trim_to_separated
+from .separation import trim_to_separated
 from .tverberg import find_disjoint_rainbow_simplices
 
 EXIT_OK = 0
@@ -97,8 +95,16 @@ def _points_json(points) -> list:
     return [[format_rational(c) for c in p] for p in points]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as an InputError, so that it reaches stderr
+    as one JSON line like every other error; `--help` still prints."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbowdepth",
         description=(
             "Find and certify a point O and large colored subsets whose "
@@ -114,7 +120,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--distribution", default=GeneratorSpec.distribution, choices=DISTRIBUTIONS
     )
-    p.add_argument("--jitter", type=int, default=GeneratorSpec.jitter)
     p.add_argument("--format", default="json", choices=("json", "plain"))
     p.add_argument("--output")
 
@@ -133,12 +138,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--output")
 
-    p = sub.add_parser("densify", help="dense subset extraction on a hypergraph")
+    p = sub.add_parser("densify", help="exact dense extraction on a hypergraph")
     p.add_argument("--input", required=True, help="hypergraph JSON file")
     p.add_argument("--epsilon", default=PipelineParams.epsilon)
-    p.add_argument("--mode", default="exact", choices=("exact", "local"))
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-exact", type=int, default=DEFAULT_GATE)
     p.add_argument("--output")
 
     p = sub.add_parser("separate", help="trim dumped sets to a separated family")
@@ -147,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         help='JSON {"o": [...], "sets": [[[x,y],...],...]} with rational strings',
     )
-    p.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
     p.add_argument("--output")
 
     p = sub.add_parser("run", help="full pipeline on a configuration")
@@ -158,11 +159,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--epsilon", default=PipelineParams.epsilon, help='rational string or "paper"'
     )
-    p.add_argument("--mode", default="auto", choices=("auto", "exact", "local"))
     p.add_argument("--strategy", default=DEFAULT_STRATEGY, choices=STRATEGIES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-exact", type=int, default=PipelineParams.exact_gate)
-    p.add_argument("--retries", type=int, default=PipelineParams.max_retries)
 
     p = sub.add_parser("verify", help="re-check a report against its configuration")
     p.add_argument("--input", required=True, help="configuration file")
@@ -176,7 +174,6 @@ def _cmd_gen(args) -> int:
         n=args.n,
         d=args.dim,
         distribution=args.distribution,
-        jitter=args.jitter,
     )
     cfg = generate(spec)
     _write_bytes(save_configuration(cfg, args.format), args.output)
@@ -231,10 +228,7 @@ def _cmd_tverberg(args) -> int:
 def _cmd_densify(args) -> int:
     h = hypergraph_from_json(_read(args.input))
     epsilon = resolve_epsilon(args.epsilon, h.d)
-    if args.mode == "exact":
-        subsets = extract_dense_exact(h, epsilon, gate=args.max_exact)[0]
-    else:
-        subsets = extract_dense_local(h, epsilon, seed=args.seed)
+    subsets = extract_dense_exact(h, epsilon)[0]
     _emit({"subsets": [list(s) for s in subsets]}, args.output)
     return EXIT_OK
 
@@ -246,7 +240,7 @@ def _cmd_separate(args) -> int:
         sets = [[json_point(p) for p in pts] for pts in data["sets"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad trim-state JSON: {exc}") from exc
-    q_sets, trace = trim_to_separated(sets, o_point, max_steps=args.max_steps)
+    q_sets, trace = trim_to_separated(sets, o_point)
     _emit(
         {
             "q": [_points_json(q) for q in q_sets],
@@ -262,10 +256,7 @@ def _cmd_run(args) -> int:
     params = PipelineParams(
         epsilon=args.epsilon,
         depth_strategy=args.strategy,
-        extraction=args.mode,
         seed=args.seed,
-        exact_gate=args.max_exact,
-        max_retries=args.retries,
     )
     bundle = run_pipeline(cfg, params)
     _write_bytes(report_bytes(bundle), args.output)
@@ -316,9 +307,8 @@ _COMMANDS = {
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except (InputError, OSError) as exc:
         _error("input", exc)

@@ -43,6 +43,7 @@ from .geometry import (
 )
 
 DISTRIBUTIONS = ("uniform-box", "gaussian", "moment-curve-perturbed")
+JITTER = 997  # denominator bound of the generator's rational jitter
 
 
 # A point num/den of a configuration's integer frame, den > 0: the point
@@ -167,7 +168,6 @@ class GeneratorSpec:
     n: int
     d: int
     distribution: str = "uniform-box"
-    jitter: int = 997  # denominator bound of the rational jitter
 
     def __post_init__(self):
         if self.n < 1 or self.d < 1:
@@ -177,14 +177,12 @@ class GeneratorSpec:
                 f"unknown distribution {self.distribution!r}; "
                 f"choose one of {DISTRIBUTIONS}"
             )
-        if self.jitter < 1:
-            raise InputError("jitter denominator bound must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise InputError("seed must fit in 64 unsigned bits")
 
 
 def _sample_point(rng: random.Random, spec: GeneratorSpec, index: int) -> Point:
-    d, den = spec.d, spec.jitter
+    d, den = spec.d, JITTER
     if spec.distribution == "uniform-box":
         # Integer lattice in [0, 1024) plus jitter with denominator `den`.
         return tuple(
@@ -251,9 +249,11 @@ def save_configuration(cfg: ColoredConfiguration, fmt: str = "json") -> bytes:
 
 def json_point(coords) -> Point:
     """A point read from JSON, the one coordinate reader for every JSON
-    input.  Each coordinate is an exact string or a JSON integer, both
-    bounded by MAX_COORDINATE_BITS (BudgetExceededError past it); a
-    float or a boolean is a ParseError."""
+    input.  The point is a JSON array; each coordinate is an exact
+    string or a JSON integer, both bounded by MAX_COORDINATE_BITS
+    (BudgetExceededError past it); anything else is a ParseError."""
+    if not isinstance(coords, list):
+        raise ParseError(f"a point must be a JSON array, got {type(coords).__name__}")
     values = []
     for value in coords:
         if isinstance(value, (bool, float)):

@@ -270,7 +270,6 @@ def exact_tuple_count(part_sizes: Sequence[int], cap: int | None = None) -> int:
 def extract_dense_exact(
     h: PartiteHypergraph,
     epsilon,
-    gate: int = DEFAULT_GATE,
     top: int = 1,
 ) -> list[Subsets]:
     """The best `top` equal-size subset tuples, best first, under
@@ -278,7 +277,8 @@ def extract_dense_exact(
     every tuple of s-subsets; [0] is the maximizer.
 
     Ties break to the lexicographically smallest tuple.  The pipeline
-    retries down the list.  The gate bounds the number of tuples ranked.
+    retries down the list.  `DEFAULT_GATE` bounds the number of tuples
+    ranked.
 
     The edge list is never scanned per tuple.  Fix s and a prefix
     S_0, ..., S_{d-1}, and let cnt[c] count the edges inside the prefix
@@ -296,9 +296,9 @@ def extract_dense_exact(
     """
     if top < 1:
         raise InputError(f"top must be at least 1, got {top}")
-    if exact_tuple_count(h.part_sizes, gate) > gate:
+    if exact_tuple_count(h.part_sizes, DEFAULT_GATE) > DEFAULT_GATE:
         raise BudgetExceededError(
-            f"more than {gate} candidate tuples, the gate; "
+            f"more than {DEFAULT_GATE} candidate tuples, the gate; "
             "use extract_dense_local instead"
         )
     exponent = density_exponent(h.d, Fraction(epsilon))

@@ -8,10 +8,11 @@ separated family {O}, hull(Q_1), ..., hull(Q_{d+1}), skipped when the
 extracted S is complete (every rainbow triangle on S contains O), which
 makes the family separated already (see `run_pipeline`); (5) independent
 brute-force verification, in the plane in the configuration's integer
-frame.  When trimming or
+frame.  Stage 3 is exact when its tuple count is within the gate
+(`DEFAULT_GATE`), else a seeded local search.  When trimming or
 verification fails, the pipeline retries from stage 3 with the
-next-ranked extraction (exact mode) or a reseeded local search; every
-retry is recorded.
+next-ranked exact extraction or a reseeded local search, at most
+`MAX_RETRIES` times; every retry is recorded.
 
 The verifier is deliberately independent of the pipeline internals: it
 re-tests containment tuple by tuple with the core predicates and never
@@ -75,6 +76,7 @@ from .separation import (
 )
 
 SCHEMA_VERSION = 1
+MAX_RETRIES = 5
 
 
 def resolve_epsilon(epsilon: Fraction | str, d: int) -> Fraction:
@@ -92,10 +94,7 @@ def resolve_epsilon(epsilon: Fraction | str, d: int) -> Fraction:
 class PipelineParams:
     epsilon: Fraction | str = Fraction(1, 4)  # see `resolve_epsilon`
     depth_strategy: str = DEFAULT_STRATEGY
-    extraction: str = "auto"  # auto | exact | local
     seed: int = 0
-    exact_gate: int = DEFAULT_GATE
-    max_retries: int = 5
 
     def to_json_dict(self, d: int) -> dict:
         return {
@@ -104,12 +103,12 @@ class PipelineParams:
                 "paper" if self.epsilon == "paper" else format_rational(rational(self.epsilon))
             ),
             "depth_strategy": self.depth_strategy,
-            "extraction": self.extraction,
+            "extraction": "auto",  # `_extraction_candidates` picks the route
             "seed": self.seed,
-            "exact_gate": self.exact_gate,
+            "exact_gate": DEFAULT_GATE,
             "centroid_budget": DEFAULT_CENTROID_BUDGET,
             "random_budget": DEFAULT_RANDOM_BUDGET,
-            "max_retries": self.max_retries,
+            "max_retries": MAX_RETRIES,
             "trim_max_steps": DEFAULT_MAX_STEPS,
         }
 
@@ -273,25 +272,15 @@ def all_or_none_check(q_sets, o_point: Point) -> str:
     return "all" if saw_inside else "none"
 
 
-def _extraction_candidates(
-    h: PartiteHypergraph, epsilon: Fraction, params: PipelineParams
-):
-    """Ranked extraction attempts for the retry loop."""
-    mode = params.extraction
-    gate = params.exact_gate
-    if mode == "exact" or (
-        mode == "auto" and exact_tuple_count(h.part_sizes, gate) <= gate
-    ):
-        ranked = extract_dense_exact(
-            h, epsilon, gate=gate, top=params.max_retries + 1
-        )
-        for subsets in ranked:
+def _extraction_candidates(h: PartiteHypergraph, epsilon: Fraction, seed: int):
+    """Ranked extraction attempts for the retry loop: exact when the
+    tuple count is within the gate, else reseeded local searches."""
+    if exact_tuple_count(h.part_sizes, DEFAULT_GATE) <= DEFAULT_GATE:
+        for subsets in extract_dense_exact(h, epsilon, top=MAX_RETRIES + 1):
             yield "exact", subsets
     else:
-        for attempt in range(params.max_retries + 1):
-            yield "local", extract_dense_local(
-                h, epsilon, seed=params.seed + attempt
-            )
+        for attempt in range(MAX_RETRIES + 1):
+            yield "local", extract_dense_local(h, epsilon, seed=seed + attempt)
 
 
 def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBundle:
@@ -329,8 +318,6 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
             f"full pipeline requires dimension 2, got {d}"
         )
     epsilon = resolve_epsilon(params.epsilon, d)
-    if params.max_retries < 0:
-        raise InputError(f"max_retries must be >= 0, got {params.max_retries}")
     input_hash = configuration_hash(cfg)
 
     deep = deepest_point(cfg, strategy=params.depth_strategy, seed=params.seed)
@@ -351,7 +338,7 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
     attempts = []
     last_error: dict | None = None
     for retry, (mode, subsets) in enumerate(
-        _extraction_candidates(h, epsilon, params)
+        _extraction_candidates(h, epsilon, params.seed)
     ):
         s_sets = [
             tuple(cfg.colors[i][j] for j in subsets[i])
@@ -421,7 +408,7 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
     assert last_error is not None
     raise PipelineStageError(
         last_error["stage"],
-        f"no verified certificate within {params.max_retries + 1} attempts: "
+        f"no verified certificate within {MAX_RETRIES + 1} attempts: "
         f"{last_error['message']}",
         details={"attempts": attempts, **last_error},
     )

@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from rainbowdepth.cli import (
     EXIT_INPUT,
     EXIT_OK,
     EXIT_VERIFICATION,
+    build_parser,
     cli_main,
 )
 from rainbowdepth.config import json_point, load_configuration
@@ -327,33 +330,39 @@ def test_densify_reads_only_json_integers(tmp_path, capsys, change):
     assert _one_json_error(capsys)["error"] == "input"
 
 
-def test_densify_local_reproduces_the_run_extraction(tmp_path, capsys):
-    # At n = 10 `auto` extracts by local search; `densify --mode local`
-    # on the dumped hypergraph, with the run's seed, finds the same box.
+def _run_with_dump(tmp_path, n):
+    """`gen --seed 0 --n n`, then `run --hypergraph-out`: the
+    configuration, the loaded report and the dump's path."""
     cfg, report, hg = (tmp_path / name for name in ("cfg.json", "r.json", "h.json"))
-    assert run_cli("gen", "--seed", "0", "--n", "10", "--output", str(cfg)) == EXIT_OK
+    assert run_cli("gen", "--seed", "0", "--n", str(n), "--output", str(cfg)) == EXIT_OK
     argv = ["run", "--input", str(cfg), "--output", str(report), "--hypergraph-out", str(hg)]
     assert run_cli(*argv) == EXIT_OK
-    attempt = json.loads(report.read_text())["stats"]["attempts"][0]
-    assert attempt["extraction_mode"] == "local"
+    return json.loads(cfg.read_text()), json.loads(report.read_text()), hg
+
+
+def test_densify_reproduces_the_run_extraction(tmp_path, capsys):
+    # At n = 7 `run` extracts exactly and keeps S whole, so `densify` on
+    # the dumped hypergraph prints the indices of the report's Q.
+    cfg, data, hg = _run_with_dump(tmp_path, 7)
+    assert data["stats"]["attempts"][0]["extraction_mode"] == "exact"
+    assert data["stats"]["trim_steps"] == 0
     capsys.readouterr()
-    argv = ["densify", "--input", str(hg), "--mode", "local", "--seed", "0"]
-    assert run_cli(*argv) == EXIT_OK
-    subsets = [set(s) for s in json.loads(capsys.readouterr().out)["subsets"]]
-    assert [len(s) for s in subsets] == [attempt["s"]] * 3
-    edges = json.loads(hg.read_text())["edges"]
-    inside = [e for e in edges if all(v in s for v, s in zip(e, subsets))]
-    assert len(inside) == attempt["edges_in_s"]
+    assert run_cli("densify", "--input", str(hg)) == EXIT_OK
+    subsets = json.loads(capsys.readouterr().out)["subsets"]
+    points = [[cls[j] for j in sub] for cls, sub in zip(cfg["colors"], subsets)]
+    assert points == data["Q"]
 
 
-@pytest.mark.parametrize("mode", ["exact", "local"])
-def test_negative_retries_exit_2(cfg_path, capsys, mode):
-    argv = ["run", "--input", str(cfg_path), "--mode", mode, "--retries"]
-    assert run_cli(*argv, "-1") == EXIT_INPUT
-    assert _one_json_error(capsys)["error"] == "input"
-    # Zero retries is one attempt, on either extraction route.
-    assert run_cli(*argv, "0") == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["verified"] is True
+def test_local_extraction_reproduces_the_run_extraction(tmp_path):
+    # At n = 10 `run` extracts by local search; `extract_dense_local` on
+    # the dumped hypergraph, with the run's seed, finds attempt 0's box.
+    cfg, data, hg = _run_with_dump(tmp_path, 10)
+    assert data["stats"]["attempts"][0]["extraction_mode"] == "local"
+    assert data["stats"]["trim_steps"] == 0
+    h = hypergraph.hypergraph_from_json(hg.read_bytes())
+    box = hypergraph.extract_dense_local(h, Fraction(1, 4), seed=0)
+    points = [[cls[j] for j in sub] for cls, sub in zip(cfg["colors"], box)]
+    assert points == data["Q"]
 
 
 def test_verify_hash_mismatch(tmp_path, cfg_path, capsys):
@@ -387,15 +396,6 @@ def test_densify_command(cfg_path, tmp_path, capsys):
     assert run_cli("densify", "--input", str(hg), "--epsilon", "1/3") == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert len(out["subsets"]) == 3
-    assert run_cli("densify", "--input", str(hg), "--epsilon", "1/3", "--max-exact", "2") == EXIT_BUDGET
-
-
-def test_densify_local_mode(cfg_path, tmp_path, capsys):
-    report = tmp_path / "report.json"
-    hg = tmp_path / "h.json"
-    run_cli("run", "--input", str(cfg_path), "--output", str(report), "--hypergraph-out", str(hg))
-    capsys.readouterr()
-    assert run_cli("densify", "--input", str(hg), "--mode", "local", "--seed", "2") == EXIT_OK
 
 
 def test_separate_command(tmp_path, capsys):
@@ -417,19 +417,22 @@ def test_separate_command(tmp_path, capsys):
 SEPARATED_STATE = {"o": ["3", "3"], "sets": [[["0", "0"]], [["10", "0"]], [["0", "10"]]]}
 
 
-@pytest.mark.parametrize(
-    "max_steps, expected", [("0", EXIT_OK), ("1", EXIT_OK), ("-1", EXIT_INPUT)]
-)
+@pytest.mark.parametrize("max_steps, expected", [("0", EXIT_OK), ("1", EXIT_OK)])
 def test_separate_max_steps(tmp_path, capsys, max_steps, expected):
+    # separate has no step-bound flag; an already separated family needs no
+    # step, so its output matches the library trim at step bounds 0 and 1
     path = tmp_path / "state.json"
     path.write_text(json.dumps(SEPARATED_STATE))
-    assert run_cli("separate", "--input", str(path), "--max-steps", max_steps) == expected
-    if expected == EXIT_OK:
-        out = json.loads(capsys.readouterr().out)
-        assert out["q"] == SEPARATED_STATE["sets"]
-        assert out["trace"]["step_count"] == 0
-    else:
-        assert _one_json_error(capsys)["error"] == "input"
+    assert run_cli("separate", "--input", str(path)) == expected
+    out = json.loads(capsys.readouterr().out)
+    assert out["q"] == SEPARATED_STATE["sets"]
+    assert out["trace"]["step_count"] == 0
+    sets = [[json_point(p) for p in pts] for pts in SEPARATED_STATE["sets"]]
+    q_sets, trace = separation.trim_to_separated(
+        sets, json_point(SEPARATED_STATE["o"]), max_steps=int(max_steps)
+    )
+    assert [list(q) for q in q_sets] == sets
+    assert trace.to_json_dict() == out["trace"]
 
 
 def test_run_paper_epsilon(cfg_path, tmp_path):
@@ -488,8 +491,82 @@ def test_undecided_density_comparison_exit_3(
 
     monkeypatch.setattr(hypergraph.DensityValue, "_compare", undecided)
     source = hg if command == "densify" else cfg_path
-    assert run_cli(command, "--input", str(source), "--mode", "exact") == EXIT_BUDGET
+    assert run_cli(command, "--input", str(source)) == EXIT_BUDGET
     assert _one_json_error(capsys)["error"] == "budget"
+
+
+@pytest.mark.parametrize(
+    "command, point, kind",
+    [("check", "12", "str"), ("verify", "12", "str"), ("separate", {"3": 0, "4": 0}, "dict")],
+    ids=["check", "verify", "separate"],
+)
+def test_point_must_be_a_json_array(n6_run, tmp_path, capsys, command, point, kind):
+    # A string or an object iterates, but is no point: "12" is not (1, 2).
+    path = tmp_path / "input.json"
+    argv = [command, "--input", str(path)]
+    if command == "check":
+        path.write_text(json.dumps({"dimension": 2, "colors": [[point], ["35"], ["71"]]}))
+    elif command == "separate":
+        path.write_text(json.dumps({**SEPARATED_STATE, "o": point}))
+    else:
+        cfg_path, genuine = n6_run
+        path.write_text(json.dumps({**genuine, "O": point}))
+        argv = ["verify", "--input", str(cfg_path), "--report", str(path)]
+    assert run_cli(*argv) == EXIT_INPUT
+    message = f"a point must be a JSON array, got {kind}"
+    assert _one_json_error(capsys) == {"error": "input", "message": message}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--input", "cfg.json", "--mode", "exact"], "--mode"),
+        (["run"], "--input"),
+        (["gen", "--n", "abc"], "--n"),
+    ],
+    ids=["retired-flag", "missing-flag", "bad-value"],
+)
+def test_argument_errors_are_one_json_line(capsys, argv, flag):
+    assert run_cli(*argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    err = json.loads(captured.err)
+    assert err["error"] == "input" and flag in err["message"]
+
+
+def test_help_still_prints_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: rainbowdepth run")
+
+
+# Every subcommand's options, in order; a new knob edits this on purpose.
+CLI_OPTIONS = {
+    "gen": ["--seed", "--n", "--dim", "--distribution", "--format", "--output"],
+    "check": ["--input", "--format"],
+    "depth": ["--input", "--strategy", "--seed", "--output"],
+    "tverberg": ["--input", "--k", "--output"],
+    "densify": ["--input", "--epsilon", "--output"],
+    "separate": ["--input", "--output"],
+    "run": ["--input", "--output", "--svg", "--hypergraph-out", "--epsilon", "--strategy", "--seed"],
+    "verify": ["--input", "--report"],
+}
+
+
+def test_cli_surface():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: [
+            option
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+            for option in action.option_strings
+        ]
+        for name, sub in commands.choices.items()
+    }
+    assert surface == CLI_OPTIONS
 
 
 def _separate_argv(tmp_path):

@@ -161,11 +161,10 @@ def test_extract_exact_zero_edges_lex_tiebreak():
 
 
 def test_extract_exact_gate():
-    h = complete_222()
     with pytest.raises(BudgetExceededError):
-        extract_dense_exact(h, Fraction(1, 4), gate=3)
+        extract_dense_exact(partite_hypergraph([10**5] * 3, []), Fraction(1, 4))
     with pytest.raises(InputError):
-        extract_dense_exact(h, Fraction(1, 4), top=0)
+        extract_dense_exact(complete_222(), Fraction(1, 4), top=0)
 
 
 def test_extract_exact_guarantees():

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbowdepth import (
-    BudgetExceededError,
     GeneratorSpec,
     InputError,
     PipelineParams,
@@ -91,12 +90,6 @@ def test_pipeline_paper_epsilon():
     data = json.loads(report_bytes(bundle))
     assert data["params"]["epsilon"] == "1/256"
     assert data["params"]["epsilon_requested"] == "paper"
-
-
-def test_pipeline_exact_gate_error():
-    cfg = generate(GeneratorSpec(seed=0, n=6, d=2))
-    with pytest.raises(BudgetExceededError):
-        run_pipeline(cfg, PipelineParams(extraction="exact", exact_gate=10))
 
 
 def test_pipeline_epsilon_validation():
