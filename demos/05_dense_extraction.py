@@ -28,7 +28,7 @@ full = h.full_subsets()
 print("averaging identity at t=(2,2,2):", averaging_identity_check(h, full, [2, 2, 2]))
 
 eps = Fraction(1, 3)
-subsets = extract_dense_exact(h, eps)[0]
+subsets = extract_dense_exact(h, eps)
 s = len(subsets[0])
 e = edge_count(h, subsets)
 print(f"\nexact extraction: s={s}, edges within = {e} (of {s ** 3} possible)")

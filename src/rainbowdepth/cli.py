@@ -228,7 +228,7 @@ def _cmd_tverberg(args) -> int:
 def _cmd_densify(args) -> int:
     h = hypergraph_from_json(_read(args.input))
     epsilon = resolve_epsilon(args.epsilon, h.d)
-    subsets = extract_dense_exact(h, epsilon)[0]
+    subsets = extract_dense_exact(h, epsilon)
     _emit({"subsets": [list(s) for s in subsets]}, args.output)
     return EXIT_OK
 

@@ -92,9 +92,7 @@ def edge_count(h: PartiteHypergraph, subsets) -> int:
     )
 
 
-def averaging_identity_check(
-    h: PartiteHypergraph, subsets, t: Sequence[int], gate: int = DEFAULT_GATE
-) -> bool:
+def averaging_identity_check(h: PartiteHypergraph, subsets, t: Sequence[int]) -> bool:
     """Both sides of the subset-averaging identity, by full enumeration.
 
     e(S)/prod|S_i|  ==  [sum over all t_i-subsets T_i of e(T)/prod t_i]
@@ -110,9 +108,9 @@ def averaging_identity_check(
         if not 1 <= ti <= len(si):
             raise InputError(f"t={t} infeasible for subset sizes {[len(s) for s in subsets]}")
     n_terms = math.prod(math.comb(len(s), ti) for s, ti in zip(subsets, t))
-    if n_terms > gate:
+    if n_terms > DEFAULT_GATE:
         raise BudgetExceededError(
-            f"{n_terms} subset combinations exceed the gate {gate}"
+            f"{n_terms} subset combinations exceed the gate {DEFAULT_GATE}"
         )
     lhs = Fraction(edge_count(h, subsets), math.prod(len(s) for s in subsets))
     # Full enumeration of all T combinations, organized part by part so
@@ -255,7 +253,7 @@ def _mask_of(sub: tuple[int, ...]) -> int:
 
 
 def exact_tuple_count(part_sizes: Sequence[int], cap: int | None = None) -> int:
-    """Number of equal-size subset tuples the exact extraction ranks:
+    """Number of equal-size subset tuples the exact extraction scores:
     the sum over s = 1..min(part_sizes) of prod_i C(n_i, s).  The sum
     only grows, so it stops once it passes `cap`: beyond the cap the
     result is only some count above it."""
@@ -267,39 +265,35 @@ def exact_tuple_count(part_sizes: Sequence[int], cap: int | None = None) -> int:
     return total
 
 
-def extract_dense_exact(
-    h: PartiteHypergraph,
-    epsilon,
-    top: int = 1,
-) -> list[Subsets]:
-    """The best `top` equal-size subset tuples, best first, under
-    e / s^(d+1-eps^(2d)) over every size s (up to the smallest part) and
-    every tuple of s-subsets; [0] is the maximizer.
+def extract_dense_exact(h: PartiteHypergraph, epsilon) -> Subsets:
+    """The maximizer of e / s^(d+1-eps^(2d)) over every size s (up to
+    the smallest part) and every tuple of s-subsets.
 
-    Ties break to the lexicographically smallest tuple.  The pipeline
-    retries down the list.  `DEFAULT_GATE` bounds the number of tuples
-    ranked.
+    Ties break to the lexicographically smallest tuple.  `DEFAULT_GATE`
+    bounds the number of tuples scored.
 
     The edge list is never scanned per tuple.  Fix s and a prefix
     S_0, ..., S_{d-1}, and let cnt[c] count the edges inside the prefix
     whose last vertex is c; then e(S) = sum of cnt[c] over c in S_d.
     The edges are bucketed once by their prefix, and cnt is folded part
-    by part from those buckets.  Once the ranking holds `top` entries,
-    `need` is the least edge count whose value at size s is not strictly
-    below the last entry (an undecided comparison counts as not below).
-    A prefix whose s largest counts sum below `need` is skipped whole,
-    and so is every S_d that sums below it; every other tuple goes
-    through the same ranked insertion as before.  The top `top` under
-    (value descending, tuple ascending) is one fixed set whatever the
-    order of insertion, and no skipped tuple could enter it, so the
-    result equals that of scoring every tuple.
+    by part from those buckets.  One incumbent is kept, and `need` is
+    the least edge count a tuple of size s needs to replace it.  At each
+    new s, `need` is the least count whose value is not strictly below
+    the incumbent (an undecided comparison counts as not below).  When a
+    tuple of size s becomes the incumbent with e edges, `need` is e + 1:
+    tuples come in lexicographic order within a size, so a later one
+    with e edges ties and loses the tie.  A prefix whose s largest
+    counts sum below `need` is skipped whole, and so is every S_d that
+    sums below it; every other tuple replaces the incumbent when it is
+    greater under (value descending, tuple ascending).  That maximum is
+    one fixed tuple whatever the order of comparison, and no skipped
+    tuple could replace the incumbent, so the result equals that of
+    scoring every tuple.
     """
-    if top < 1:
-        raise InputError(f"top must be at least 1, got {top}")
     if exact_tuple_count(h.part_sizes, DEFAULT_GATE) > DEFAULT_GATE:
         raise BudgetExceededError(
             f"more than {DEFAULT_GATE} candidate tuples, the gate; "
-            "use extract_dense_local instead"
+            "densify cannot extract exactly from parts this large"
         )
     exponent = density_exponent(h.d, Fraction(epsilon))
     *prefix_sizes, last_size = h.part_sizes
@@ -310,25 +304,28 @@ def extract_dense_exact(
     buckets: dict[tuple[int, ...], int] = {}
     for e in h.edges:
         buckets[e[:-1]] = buckets.get(e[:-1], 0) + (1 << (width * e[-1]))
-    ranked: list[tuple[DensityValue, Subsets]] = []
+    best: tuple[DensityValue, Subsets] | None = None
     for s in range(1, min(h.part_sizes) + 1):
         last_subsets = list(itertools.combinations(range(last_size), s))
-        need, need_for = 0, None  # need_for: the entry `need` was set for
+        need = 0 if best is None else _least_entering_count(
+            s, exponent, best[0], cap=s**h.num_parts
+        )
         for prefix, packed in _prefix_counts(buckets, prefix_sizes, s):
-            if len(ranked) == top and ranked[-1] is not need_for:
-                need_for = ranked[-1]
-                need = _least_entering_count(
-                    s, exponent, need_for[0], cap=s**h.num_parts
-                )
             cnt = [(packed >> (width * c)) & field for c in range(last_size)]
             if sum(sorted(cnt, reverse=True)[:s]) < need:
                 continue
             for sub in last_subsets:
                 e = sum([cnt[c] for c in sub])
-                if e >= need:
-                    value = DensityValue(e, s, exponent)
-                    _rank_insert(ranked, value, prefix + (sub,), top)
-    return [tup for _, tup in ranked]
+                if e < need:
+                    continue
+                value, tup = DensityValue(e, s, exponent), prefix + (sub,)
+                if best is not None:
+                    cmp = value._compare(best[0])
+                    if cmp < 0 or (cmp == 0 and tup > best[1]):
+                        continue
+                best = value, tup
+                need = e + 1
+    return best[1]
 
 
 def _prefix_counts(buckets: dict, sizes: Sequence[int], s: int):
@@ -370,29 +367,6 @@ def _least_entering_count(
         else:
             hi = mid
     return lo
-
-
-def _rank_insert(
-    ranked: list[tuple[DensityValue, Subsets]],
-    value: DensityValue,
-    tup: Subsets,
-    top: int,
-) -> None:
-    if len(ranked) == top:
-        last_value, last_tup = ranked[-1]
-        cmp = value._compare(last_value)
-        if cmp < 0 or (cmp == 0 and tup > last_tup):
-            return
-    pos = 0
-    for pos in range(len(ranked) + 1):
-        if pos == len(ranked):
-            break
-        held_value, held_tup = ranked[pos]
-        cmp = value._compare(held_value)
-        if cmp > 0 or (cmp == 0 and tup < held_tup):
-            break
-    ranked.insert(pos, (value, tup))
-    del ranked[top:]
 
 
 def extract_dense_local(h: PartiteHypergraph, epsilon, seed: int = 0) -> Subsets:
@@ -504,25 +478,17 @@ def _box_degrees(h: PartiteHypergraph, subsets: list[list[int]]):
 
 @dataclass(frozen=True)
 class PropertyIIReport:
-    status: str  # "ok" | "counterexample" | "sampled-ok"
+    status: str  # "ok" | "counterexample"
     counterexample: Subsets | None
     combinations_checked: int
 
 
-def verify_property_ii(
-    h: PartiteHypergraph,
-    subsets,
-    epsilon,
-    gate: int = DEFAULT_GATE,
-    samples: int = 2000,
-    seed: int = 0,
-) -> PropertyIIReport:
+def verify_property_ii(h: PartiteHypergraph, subsets, epsilon) -> PropertyIIReport:
     """Check that every tuple of ceil(eps*s)-subsets still spans an edge.
 
-    Exhaustive within the gate; beyond it the property is only
-    spot-checked on seeded random tuples and reported as "sampled-ok".
-    Edge counts are monotone in the subsets, so checking the minimum
-    subset size suffices.
+    Exhaustive; more than `DEFAULT_GATE` tuples raise BudgetExceededError
+    before any is checked.  Edge counts are monotone in the subsets, so
+    checking the minimum subset size suffices.
     """
     subsets = _normalize_subsets(h, subsets)
     sizes = {len(s) for s in subsets}
@@ -533,6 +499,10 @@ def verify_property_ii(
     if not 0 < epsilon < Fraction(1, 2):
         raise InputError("epsilon must lie in (0, 1/2)")
     q = max(1, math.ceil(epsilon * s))
+    if math.comb(s, q) ** h.num_parts > DEFAULT_GATE:
+        raise BudgetExceededError(
+            f"more than {DEFAULT_GATE} subset tuples, the gate"
+        )
     edges = sorted(h.edges)
 
     def has_edge(masks: list[int]) -> bool:
@@ -544,24 +514,14 @@ def verify_property_ii(
                 return True
         return False
 
-    n_combos = math.comb(s, q) ** h.num_parts
-    if n_combos <= gate:
-        checked = 0
-        for combo in itertools.product(
-            *[itertools.combinations(sub, q) for sub in subsets]
-        ):
-            checked += 1
-            if not has_edge([_mask_of(c) for c in combo]):
-                return PropertyIIReport("counterexample", tuple(combo), checked)
-        return PropertyIIReport("ok", None, checked)
-    rng = random.Random(f"property-ii:{seed}")
-    for k in range(samples):
-        combo = tuple(
-            tuple(sorted(rng.sample(sub, q))) for sub in subsets
-        )
+    checked = 0
+    for combo in itertools.product(
+        *[itertools.combinations(sub, q) for sub in subsets]
+    ):
+        checked += 1
         if not has_edge([_mask_of(c) for c in combo]):
-            return PropertyIIReport("counterexample", combo, k + 1)
-    return PropertyIIReport("sampled-ok", None, samples)
+            return PropertyIIReport("counterexample", tuple(combo), checked)
+    return PropertyIIReport("ok", None, checked)
 
 
 def hypergraph_to_json(h: PartiteHypergraph) -> bytes:

@@ -9,10 +9,8 @@ extracted S is complete (every rainbow triangle on S contains O), which
 makes the family separated already (see `run_pipeline`); (5) independent
 brute-force verification, in the plane in the configuration's integer
 frame.  Stage 3 is exact when its tuple count is within the gate
-(`DEFAULT_GATE`), else a seeded local search.  When trimming or
-verification fails, the pipeline retries from stage 3 with the
-next-ranked exact extraction or a reseeded local search, at most
-`MAX_RETRIES` times; every retry is recorded.
+(`DEFAULT_GATE`), else a seeded local search.  Each stage runs once:
+a failed trim or verification ends the run with PipelineStageError.
 
 The verifier is deliberately independent of the pipeline internals: it
 re-tests containment tuple by tuple with the core predicates and never
@@ -76,7 +74,6 @@ from .separation import (
 )
 
 SCHEMA_VERSION = 1
-MAX_RETRIES = 5
 
 
 def resolve_epsilon(epsilon: Fraction | str, d: int) -> Fraction:
@@ -103,12 +100,10 @@ class PipelineParams:
                 "paper" if self.epsilon == "paper" else format_rational(rational(self.epsilon))
             ),
             "depth_strategy": self.depth_strategy,
-            "extraction": "auto",  # `_extraction_candidates` picks the route
             "seed": self.seed,
             "exact_gate": DEFAULT_GATE,
             "centroid_budget": DEFAULT_CENTROID_BUDGET,
             "random_budget": DEFAULT_RANDOM_BUDGET,
-            "max_retries": MAX_RETRIES,
             "trim_max_steps": DEFAULT_MAX_STEPS,
         }
 
@@ -272,19 +267,8 @@ def all_or_none_check(q_sets, o_point: Point) -> str:
     return "all" if saw_inside else "none"
 
 
-def _extraction_candidates(h: PartiteHypergraph, epsilon: Fraction, seed: int):
-    """Ranked extraction attempts for the retry loop: exact when the
-    tuple count is within the gate, else reseeded local searches."""
-    if exact_tuple_count(h.part_sizes, DEFAULT_GATE) <= DEFAULT_GATE:
-        for subsets in extract_dense_exact(h, epsilon, top=MAX_RETRIES + 1):
-            yield "exact", subsets
-    else:
-        for attempt in range(MAX_RETRIES + 1):
-            yield "local", extract_dense_local(h, epsilon, seed=seed + attempt)
-
-
 def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBundle:
-    """Stages (1)-(5) of the module docstring, with retries.
+    """Stages (1)-(5) of the module docstring, each run once.
 
     A complete S (every rainbow triangle on it contains O) skips the
     trim and keeps S whole, with the trace of a 0-step trim, by this
@@ -335,82 +319,79 @@ def run_pipeline(cfg: ColoredConfiguration, params: PipelineParams) -> ResultBun
         )
     h = partite_hypergraph((cfg.n,) * cfg.num_colors, depth_info.tuples)
 
-    attempts = []
-    last_error: dict | None = None
-    for retry, (mode, subsets) in enumerate(
-        _extraction_candidates(h, epsilon, params.seed)
-    ):
-        s_sets = [
-            tuple(cfg.colors[i][j] for j in subsets[i])
-            for i in range(cfg.num_colors)
-        ]
-        edges_in_s = edge_count(h, subsets)
-        attempt_stats = {
-            "retry": retry,
-            "extraction_mode": mode,
-            "s": len(subsets[0]),
-            "edges_in_s": edges_in_s,
-        }
-        if edges_in_s == math.prod(len(part) for part in subsets):
-            # Complete, so separated already (the lemma above).
-            q_sets, trace = s_sets, TrimTrace((), tuple(map(len, s_sets)))
-        else:
-            try:
-                q_sets, trace = trim_to_separated(
-                    s_sets, o_point, max_steps=DEFAULT_MAX_STEPS
-                )
-            except TrimExhaustedError as exc:
-                attempt_stats["outcome"] = f"trim failed: {exc}"
-                attempts.append(attempt_stats)
-                last_error = {"stage": "trim", "message": str(exc)}
-                continue
-        counter = verify_certificate(cfg, o_point, q_sets)
-        if counter is not None:
-            attempt_stats["outcome"] = (
-                f"verification failed at tuple {counter.index_tuple}"
+    if exact_tuple_count(h.part_sizes, DEFAULT_GATE) <= DEFAULT_GATE:
+        mode, subsets = "exact", extract_dense_exact(h, epsilon)
+    else:
+        mode, subsets = "local", extract_dense_local(h, epsilon, seed=params.seed)
+    s_sets = [
+        tuple(cfg.colors[i][j] for j in subsets[i])
+        for i in range(cfg.num_colors)
+    ]
+    edges_in_s = edge_count(h, subsets)
+    attempt = {
+        "retry": 0,
+        "extraction_mode": mode,
+        "s": len(subsets[0]),
+        "edges_in_s": edges_in_s,
+    }
+    complete = edges_in_s == math.prod(len(part) for part in subsets)
+    if complete:
+        # Complete, so separated already (the lemma above).
+        q_sets, trace = s_sets, TrimTrace((), tuple(map(len, s_sets)))
+    else:
+        try:
+            q_sets, trace = trim_to_separated(
+                s_sets, o_point, max_steps=DEFAULT_MAX_STEPS
             )
-            attempts.append(attempt_stats)
-            last_error = {
-                "stage": "verify",
-                "message": counter.reason,
-                "tuple": counter.index_tuple,
-            }
-            continue
-        attempt_stats["outcome"] = "verified"
-        attempts.append(attempt_stats)
-        q_indices = [
-            tuple(j for j in subsets[i] if cfg.colors[i][j] in set(q_sets[i]))
-            for i in range(cfg.num_colors)
-        ]
-        sizes = tuple(len(q) for q in q_sets)
-        ratios = tuple(Fraction(len(q), cfg.n) for q in q_sets)
-        stats = {
-            "depth_candidates_examined": deep.candidates_examined,
-            "edges_stage2": depth_info.count,
-            "edges_stage3": edges_in_s,
-            "edges_stage4": edge_count(h, q_indices),
-            "trim_steps": trace.step_count,
-            "attempts": attempts,
-        }
-        return ResultBundle(
-            o_point=o_point,
-            q_sets=tuple(q_sets),
-            depth_at_o=depth_info.count,
-            sizes=sizes,
-            ratios=ratios,
-            trace=trace,
-            stats=stats,
-            verified=True,
-            params=params,
-            input_hash=input_hash,
-            hypergraph=h,
+        except TrimExhaustedError as exc:
+            attempt["outcome"] = f"trim failed: {exc}"
+            raise _stage_failure(attempt, "trim", str(exc)) from exc
+    counter = verify_certificate(cfg, o_point, q_sets)
+    if counter is not None:
+        attempt["outcome"] = f"verification failed at tuple {counter.index_tuple}"
+        raise _stage_failure(
+            attempt, "verify", counter.reason, tuple=counter.index_tuple
         )
-    assert last_error is not None
-    raise PipelineStageError(
-        last_error["stage"],
-        f"no verified certificate within {MAX_RETRIES + 1} attempts: "
-        f"{last_error['message']}",
-        details={"attempts": attempts, **last_error},
+    attempt["outcome"] = "verified"
+    if complete:
+        edges_in_q = edges_in_s
+    else:
+        kept = [set(q) for q in q_sets]
+        edges_in_q = edge_count(h, [
+            tuple(j for j in sub if cfg.colors[i][j] in kept[i])
+            for i, sub in enumerate(subsets)
+        ])
+    stats = {
+        "depth_candidates_examined": deep.candidates_examined,
+        "edges_stage2": depth_info.count,
+        "edges_stage3": edges_in_s,
+        "edges_stage4": edges_in_q,
+        "trim_steps": trace.step_count,
+        "attempts": [attempt],
+    }
+    return ResultBundle(
+        o_point=o_point,
+        q_sets=tuple(q_sets),
+        depth_at_o=depth_info.count,
+        sizes=tuple(len(q) for q in q_sets),
+        ratios=tuple(Fraction(len(q), cfg.n) for q in q_sets),
+        trace=trace,
+        stats=stats,
+        verified=True,
+        params=params,
+        input_hash=input_hash,
+        hypergraph=h,
+    )
+
+
+def _stage_failure(
+    attempt: dict, stage: str, message: str, **extra
+) -> PipelineStageError:
+    """The error of a run whose one attempt failed at `stage`."""
+    return PipelineStageError(
+        stage,
+        message,
+        details={"attempts": [attempt], "stage": stage, "message": message, **extra},
     )
 
 

@@ -193,7 +193,7 @@ def test_criterion_4_dense_extraction():
         h = random_dense_hypergraph(rng)
         n = 6
         total = len(h.edges)
-        subsets = extract_dense_exact(h, eps)[0]
+        subsets = extract_dense_exact(h, eps)
         s = len(subsets[0])
         e = edge_count(h, subsets)
         beta = Fraction(total, n**3)
@@ -346,36 +346,36 @@ def test_criterion_10_determinism():
 # params).  A change that alters any report byte must say so and update
 # this table.
 PINNED_REPORT_SHA256 = {
-    0: "f43215718031fbb0a7d322b83e529a7d159e365c15723a5adc37353d33115b1f",
-    1: "0307a5bc2ad28a7c95711ff00d562489b7c3830d035646dc00bb0f7d4bc04c44",
-    2: "c5c206dd9a8226eec536735bb5bb285be93791bf92c8024863600eac41577ad7",
-    3: "87ed3c8b5d8721901f0993b0ee43faa6676f2927baf7f3b7a3b0c068b41e75ec",
-    4: "41598250632f5dd3a5034f764b67c22d88fcf2cd6bab41c04bd8e0be0dfd0d90",
-    5: "002fa2259dbf9c81b94dbfd497331da2c43de5bf38977a6b12e30fc7c18530e6",
-    6: "6ead1db9b02bc3f978e139bd188089eb8527b302d933c7c15899b22c80708f5f",
-    7: "e8d62be9f6426eaa5662644b72ef0231fb9a0f4f73a76268ca643aec4663ea25",
-    8: "73025437aebfa9b3cb7a6cecb25c9392e8607a65b8d5ab34c8a53ec55a77baf4",
-    9: "1e27a1c0fbc6913e237c9a45f2e09fa75830c6248aff03e5a57a54f9827b57b2",
-    10: "2aa1df64628145103db57f7f3ad3cdc40b7644cdd44e3d606df6cda34d4c001b",
-    11: "2fbafae40a368fbd95b1067f74d39b98eb8f58d1a69549786be90a2e427f435a",
-    12: "496e9d7076de7cc2b8409938ca8f9de34bb40a7707305c7e1b96e7e934066570",
-    13: "27563cb2b58b8123f6d3646d3b9501838dca7869d88ada858ac60eb4ed3193eb",
-    14: "1fd73df3d60214b43db0bf36e994c13fbdbc291fb00da0e8ade2c6b52442989b",
-    15: "c43f101a5fa597cc64a236436fc713efa9e15d5db2e2cf579d0fe08ecefc719e",
-    16: "1977d37ffa66976c37fd53c475a2fa8735c373541ec6b63f98ba269a478e7c4c",
-    17: "bd40b4eed53b94f96e9b558074c0ab3be717f917e1fdcbf9b60832edad2f1602",
-    18: "051adb185cc58f1c7dcd4c982e027c73ffe958d626dbdbfd8b3ee29fc0c7f556",
-    19: "5aefd0c57b153952668d245d965e48c4503e296c6525c27239627a1fda7c3df2",
-    20: "477f8935a3a650643c32f9c31639a36bb18d6ea33f972e7d83b3b258badfaae9",
-    21: "05d85dc811394b52f8e0f8e120ca79959b0eb3bb28a85de0e4b08a6c26e3b3b2",
-    22: "ba9817ffb03af4c674faf66a8995740deeff964d113a1a1c6f7fdf73c9b3fd39",
-    23: "6c03edd45a8039326ca23786385f022a5ad82aaf94d4e294273def9fb2d2b968",
-    24: "11a186e177b4ef802f42de2f2035a02a36d446bc6a8059af04b364b2ac6af008",
-    25: "86a7153c10321b0be44a94320d2f9b7647e36507557009a904f65c3bb446b026",
-    26: "9b5038fbfdf9f73f0ac663ebf8d2397e24cc4201224c6a56ad4e5d887c15cf63",
-    27: "d7f288819fc2f0d7873eb257b45b50029682ea7b6f2876987fb60526ab74b6bb",
-    28: "c7ccddcc69a572871fbc1dd761c0e22adacbb1e82f9b0207c2b2ce5049f7e8d4",
-    29: "ec7832cd81b7b6cbdf1406e5f411a420745820bc142a292671aa8cd55d1c8127",
+    0: "265a0a37916701ae9a64a3c3f4e0b3df56bd9f6b4675a80e7eeca50446346526",
+    1: "e0c5d9ad8dc92bb5f0e3941d7cab294bd126eaa231dcee7e231b873cee088995",
+    2: "7e4812eaf4cb26d989b6854348c5b3192da5bcb6f72b48af6ae085b0bf5f039b",
+    3: "cd492c447b79f6b57b47cd89728aed97d4a9cb3ccbc1059d24b16b5c285b8841",
+    4: "15c9ae2d7706fd070f6f2439155bd8a823654ed2c30cc7cb6526eca3999b0edd",
+    5: "19058906c547bf10f10fde05ae807f9ac72379259441f379bd275d8f6cf021fc",
+    6: "8548896157d82a9f2f7b65bf5d5460e886105eed8d8e0a2ae3990b195e6162c5",
+    7: "7784bde4818be573224ae01bafa8cc338d0aea33abef6b4766f2bc9467a47df3",
+    8: "d9f4e4e39660189a325115143431b6117d45fb35cdb9df90640fe2da1c1aa3c7",
+    9: "cc3a812010a528ceb237c99ff2521453957f24955b8df9494398822fb5e5a60d",
+    10: "fb688140c59018fff1a29868e885cfe964339c3ac18c7fda04023b0e6b05a73f",
+    11: "ed81ffc90cbf544585adcdf2d030ac69f8bb287c218a6d5575e1979652d8511c",
+    12: "84148ca54ae6f3232eeb6c768dbdeb4c11df0755d83e4a749ba71643c472c6f2",
+    13: "c861af6671641fe246c6608fae67e5ed7c4abee5ff7d393401247cd8db73a2ea",
+    14: "56bcdfdc4e131fe6525b1ae01402cbf5a00ce8c34b290b5445ef8dea59cda706",
+    15: "9ae753048bbec25d3cc8648f88f94a07a7b710c8088142b823a37cff5af40093",
+    16: "008103327bb189722115c204fe3ae565c786faf021588a94c7d8012809912653",
+    17: "9e7a33ab537e9d8a4a2c0e77001a14d1557135e20422a333cf199510a4b38b57",
+    18: "0b54ca93cbf430ecafc15f97d20ee027599d88bda6d23f77dc6918533402b272",
+    19: "86efd336095474c07467e5f7b9862f0697fa4ab51810d776f25985cb7c7e9f3e",
+    20: "5b365fb4f9ae50ef1ed35f48ef679b5fe635ee8f104196ea5e2d3cd84bb628a2",
+    21: "a5467950c0dde51f2787012f8a3cff6c14e0744e3eec9033f97a02c4d74b18e6",
+    22: "d19f929f993fe49ced85ad2cbe5cbbbd8084277ae2dfb2fff6a2af1ed3d5e5a9",
+    23: "ab8a34ddf8b69275a400ed3160e65458294025cf521db78964f3c093576ef646",
+    24: "b6ab86a9f6208bf52ca6838b65a7c7418130dcc87eaf40e7048a37564cedfa0b",
+    25: "364d38eda733f7ba397fa11df8e189f696ccf12cb2dc3400f35279e28655c021",
+    26: "b561ccb15236c2fa4060003ce11c4e1b7a871a8ee0a13886c5cc499fa3ca21b8",
+    27: "c50c8940c45550d1fc26b32c66dabbb3ec3b4301ceae413b44280b16301e61ef",
+    28: "91dbb7707d36c1bfc270d628b6dd1d90ab49b1cb6988672a5e8fd645492361d4",
+    29: "8d3e67d95a0fb8edaa91d0b69f8a2e2d90bdaaa3205533951776c420212bb845",
 }
 
 
@@ -389,13 +389,13 @@ def test_pinned_report_digests():
 
 
 # sha256 of the `run` report of `gen --seed 0` (default params) at sizes
-# where `auto` picks exact extraction; the table above (n=10) only
+# where `run` extracts exactly; the table above (n=10) only
 # covers local search.
 PINNED_EXACT_MODE_SHA256 = {
-    (7, "uniform-box"): "b7c31e6cc6c76b3b67634404e6f03a8c320f7e4e3b48ec0805efbc4e8db81c66",
-    (7, "gaussian"): "bbcc745de19a3ec7b027cbcb56333edb00eea853a8cf362a5bf1a6b49f4018e9",
-    (7, "moment-curve-perturbed"): "ac2b2d9b81bd8a702e217b60206b64fb4f885dd199a6453f440469c6037d9f3f",
-    (8, "uniform-box"): "dfe0d0314c7576e6bc796685d490a7c3f72ad8f824cbe2ae19279f73912b503c",
+    (7, "uniform-box"): "f776ab8fd518c208e7579c9e2718dae3a0de7f46e43868a9d813ec4de8d677d7",
+    (7, "gaussian"): "438f79674d55d003b8b3134aee43d6f5a3a157c941e707c6f5d4a38493e43c29",
+    (7, "moment-curve-perturbed"): "5e75577cc9c9f5a5ac76a857357f502d2efd5d630019b6b1cb7dfa6b84434b9a",
+    (8, "uniform-box"): "51d8aea287c19c7dc9ee3227fb2562fe99e64afdff309bab0c199a34def5a04f",
 }
 
 
@@ -410,11 +410,11 @@ def test_pinned_exact_mode_report_digests():
 
 
 # sha256 of the `run` report of `gen --seed 0` (default params) at n=16,
-# where `auto` picks local search: the route the tables above leave out.
+# where `run` takes local search: the route the tables above leave out.
 PINNED_N16_SHA256 = {
-    "uniform-box": "05e4f1504ee91670fe3fcdc8975dd83415507ad1cf106e087da92af3b701a1a1",
-    "gaussian": "06971c41ebebe1d236360d27f3ffe433ad1e25f419c38a29d61e2c90e14a37f5",
-    "moment-curve-perturbed": "116b252a0cd6fc1118bdf7c638bb25eaf21654ba7b2ef7ff8c257e9977162b93",
+    "uniform-box": "86afa84462259001a8860e7ca7f1f709d9f29ce459984bc5216911ad0ca257c7",
+    "gaussian": "cdbf461c4e56ead77961db5ec64b5aadaeb3457252e239fa91879a69b208ca9a",
+    "moment-curve-perturbed": "b27a34bc78767d3ad799a0a31922d3a161a834d234895e89bfb8caed144c574b",
 }
 
 

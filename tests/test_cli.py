@@ -267,7 +267,7 @@ def test_run_builds_two_sign_tables(tmp_path, capsys, monkeypatch, dump):
     assert run_cli(*argv, *(["--hypergraph-out", str(hg)] if dump else [])) == EXIT_OK
     assert len(calls) == 2
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "dfe0d0314c7576e6bc796685d490a7c3f72ad8f824cbe2ae19279f73912b503c"
+        "51d8aea287c19c7dc9ee3227fb2562fe99e64afdff309bab0c199a34def5a04f"
     )
     if dump:
         assert hashlib.sha256(hg.read_bytes()).hexdigest() == (
@@ -298,7 +298,8 @@ def test_densify_gate_refuses_huge_parts_at_once(tmp_path, capsys):
     err = _one_json_error(capsys)
     assert err["error"] == "budget"
     assert err["message"] == (
-        "more than 10000000 candidate tuples, the gate; use extract_dense_local instead"
+        "more than 10000000 candidate tuples, the gate; "
+        "densify cannot extract exactly from parts this large"
     )
 
 

@@ -1,4 +1,3 @@
-import heapq
 import itertools
 import math
 import random
@@ -87,9 +86,10 @@ def test_averaging_all_t_small():
 
 
 def test_averaging_gate():
-    h = complete_222()
+    # 1000^3 singleton tuples: past the gate before any is enumerated
+    h = partite_hypergraph([1000] * 3, [])
     with pytest.raises(BudgetExceededError):
-        averaging_identity_check(h, h.full_subsets(), [1, 1, 1], gate=2)
+        averaging_identity_check(h, h.full_subsets(), [1, 1, 1])
 
 
 def test_averaging_infeasible_t():
@@ -147,24 +147,22 @@ def test_density_value_from_hypergraph():
 
 def test_extract_exact_complete():
     h = complete_222()
-    assert extract_dense_exact(h, Fraction(1, 4)) == [((0, 1), (0, 1), (0, 1))]
+    assert extract_dense_exact(h, Fraction(1, 4)) == ((0, 1), (0, 1), (0, 1))
 
 
 def test_extract_exact_single_edge_unequal_parts():
     h = partite_hypergraph([2, 1, 1], [(0, 0, 0)])
-    assert extract_dense_exact(h, Fraction(1, 4)) == [((0,), (0,), (0,))]
+    assert extract_dense_exact(h, Fraction(1, 4)) == ((0,), (0,), (0,))
 
 
 def test_extract_exact_zero_edges_lex_tiebreak():
     h = partite_hypergraph([2, 2, 2], [])
-    assert extract_dense_exact(h, Fraction(1, 4)) == [((0,), (0,), (0,))]
+    assert extract_dense_exact(h, Fraction(1, 4)) == ((0,), (0,), (0,))
 
 
 def test_extract_exact_gate():
     with pytest.raises(BudgetExceededError):
         extract_dense_exact(partite_hypergraph([10**5] * 3, []), Fraction(1, 4))
-    with pytest.raises(InputError):
-        extract_dense_exact(complete_222(), Fraction(1, 4), top=0)
 
 
 def test_extract_exact_guarantees():
@@ -179,7 +177,7 @@ def test_extract_exact_guarantees():
         total = edge_count(h, h.full_subsets())
         if total == 0:
             continue
-        subsets = extract_dense_exact(h, eps)[0]
+        subsets = extract_dense_exact(h, eps)
         s = len(subsets[0])
         e = edge_count(h, subsets)
         assert Fraction(e, s**3) >= Fraction(total, n**3)
@@ -201,17 +199,17 @@ def test_extract_monotone_in_edges():
     if not missing:
         return
     bigger = partite_hypergraph([3, 3, 3], list(h.edges) + [missing[0]])
-    v1 = density_value(h, extract_dense_exact(h, eps)[0], eps)
-    v2 = density_value(bigger, extract_dense_exact(bigger, eps)[0], eps)
+    v1 = density_value(h, extract_dense_exact(h, eps), eps)
+    v2 = density_value(bigger, extract_dense_exact(bigger, eps), eps)
     assert v2 >= v1
 
 
-def enumerating_extract_dense_exact(h, epsilon, top=1):
+def enumerating_extract_dense_exact(h, epsilon):
     """Reference for extract_dense_exact: the full enumeration it
     replaced.  Every tuple of s-subsets is scored on its own, e(S)
     counted by definition (the rainbow tuples of S that are edges), and
-    the best `top` are taken under (value descending, tuple ascending)
-    with a comparator of its own, not the module's ranked insertion."""
+    the best is taken under (value descending, tuple ascending) with a
+    comparator of its own, not the module's incumbent."""
     exponent = density_exponent(h.d, Fraction(epsilon))
     scored = []
     for s in range(1, min(h.part_sizes) + 1):
@@ -223,15 +221,15 @@ def enumerating_extract_dense_exact(h, epsilon, top=1):
     def order(a, b):
         return b[0]._compare(a[0]) or (a[1] > b[1]) - (a[1] < b[1])
 
-    return [tup for _, tup in heapq.nsmallest(top, scored, key=cmp_to_key(order))]
+    return min(scored, key=cmp_to_key(order))[1]
 
 
-def assert_matches_enumeration(h, epsilon, top):
+def assert_matches_enumeration(h, epsilon):
     try:
-        expected = enumerating_extract_dense_exact(h, epsilon, top)
+        expected = enumerating_extract_dense_exact(h, epsilon)
     except ExactComparisonError:
         assume(False)  # the reference ranking itself is undecided
-    assert extract_dense_exact(h, epsilon, top=top) == expected
+    assert extract_dense_exact(h, epsilon) == expected
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,22 +237,21 @@ def assert_matches_enumeration(h, epsilon, top):
     sizes=st.lists(st.integers(1, 5), min_size=2, max_size=4),
     density=st.integers(0, 100),
     edge_seed=st.integers(0, 2**32),
-    top=st.sampled_from([1, 2, 6]),
     epsilon=st.sampled_from(
         [Fraction(1, 4), Fraction(1, 3), Fraction(1, 10), Fraction(1, 256)]
     ),
 )
-# No edges: every tuple ties at zero, so a larger s must displace a
-# lexicographically later s=1 tuple from the full ranking.
-@example(sizes=[2, 2, 2], density=0, edge_seed=0, top=6, epsilon=Fraction(1, 4))
-def test_extract_exact_matches_enumeration(sizes, density, edge_seed, top, epsilon):
+# No edges: every tuple ties at zero, and the lexicographically least
+# tuple, of size 1, wins.
+@example(sizes=[2, 2, 2], density=0, edge_seed=0, epsilon=Fraction(1, 4))
+def test_extract_exact_matches_enumeration(sizes, density, edge_seed, epsilon):
     rng = random.Random(edge_seed)
     edges = [
         e
         for e in itertools.product(*[range(n_i) for n_i in sizes])
         if rng.randrange(100) < density
     ]
-    assert_matches_enumeration(partite_hypergraph(sizes, edges), epsilon, top)
+    assert_matches_enumeration(partite_hypergraph(sizes, edges), epsilon)
 
 
 def test_extract_exact_matches_enumeration_on_criterion_4_cases():
@@ -262,7 +259,7 @@ def test_extract_exact_matches_enumeration_on_criterion_4_cases():
     rng = random.Random("criterion-4")
     for _ in range(30):
         h = random_dense_hypergraph(rng)
-        assert_matches_enumeration(h, Fraction(1, 3), top=6)
+        assert_matches_enumeration(h, Fraction(1, 3))
 
 
 def test_exact_tuple_count():
@@ -306,7 +303,7 @@ def test_hexagon_hypergraph_cross_check():
     # two alternating rainbow triangles containing the center
     h = partite_hypergraph([2, 2, 2], [(0, 1, 0), (1, 0, 1)])
     eps = Fraction(1, 3)
-    exact = extract_dense_exact(h, eps)[0]
+    exact = extract_dense_exact(h, eps)
     local = extract_dense_local(h, eps, seed=0)
     assert verify_property_ii(h, exact, eps).status == "ok"
     assert verify_property_ii(h, local, eps).status == "ok"
@@ -472,14 +469,15 @@ def test_property_ii_of_exact_extraction():
         h = random_hypergraph(rng, [5, 5, 5], rng.uniform(0.35, 0.7))
         if not h.edges:
             continue
-        subsets = extract_dense_exact(h, eps)[0]
+        subsets = extract_dense_exact(h, eps)
         assert verify_property_ii(h, subsets, eps).status == "ok"
 
 
-def test_property_ii_sampled_beyond_gate():
-    h = complete_222()
-    report = verify_property_ii(h, h.full_subsets(), Fraction(1, 3), gate=1)
-    assert report.status == "sampled-ok"
+def test_property_ii_refuses_beyond_gate():
+    # C(30, 10)^3 tuples of 10-subsets: past the gate before any is checked
+    h = partite_hypergraph([30] * 3, [])
+    with pytest.raises(BudgetExceededError):
+        verify_property_ii(h, h.full_subsets(), Fraction(1, 3))
 
 
 def test_hypergraph_json_roundtrip():

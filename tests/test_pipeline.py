@@ -92,6 +92,20 @@ def test_pipeline_paper_epsilon():
     assert data["params"]["epsilon_requested"] == "paper"
 
 
+def test_report_params_schema():
+    data = json.loads(report_bytes(run_pipeline(hexagon_config(), PipelineParams())))
+    assert set(data["params"]) == {
+        "epsilon",
+        "epsilon_requested",
+        "depth_strategy",
+        "seed",
+        "exact_gate",
+        "centroid_budget",
+        "random_budget",
+        "trim_max_steps",
+    }
+
+
 def test_pipeline_epsilon_validation():
     cfg = triangle_config()
     with pytest.raises(InputError):
@@ -265,8 +279,8 @@ def test_load_report_rejects_bad_schema():
 
 def test_trim_runs_only_for_incomplete_s(monkeypatch):
     """A complete S is kept whole without calling the trim; an
-    incomplete one (here S = P, as the extraction's only candidate) is
-    trimmed."""
+    incomplete one (here S = P, from a stubbed extraction) is trimmed
+    once, and its failure ends the run after the one attempt."""
     import rainbowdepth.pipeline as pipeline
 
     calls = []
@@ -282,13 +296,18 @@ def test_trim_runs_only_for_incomplete_s(monkeypatch):
     assert attempt["edges_in_s"] == attempt["s"] ** 3 and calls == []
     assert bundle.trace.step_count == 0 and bundle.sizes == (attempt["s"],) * 3
 
-    def whole(h, epsilon, params):
-        yield "exact", [tuple(range(cfg.n))] * 3
+    extractions = []
 
-    monkeypatch.setattr(pipeline, "_extraction_candidates", whole)
+    def whole(h, epsilon):
+        extractions.append(h)
+        return (tuple(range(cfg.n)),) * 3
+
+    monkeypatch.setattr(pipeline, "extract_dense_exact", whole)
     assert bundle.depth_at_o < cfg.n**3
     with pytest.raises(PipelineStageError) as info:
         run_pipeline(cfg, PipelineParams(seed=1))
-    assert calls == [list(cfg.colors)]
+    assert len(extractions) == 1
+    assert len(calls) == 1 and calls == [list(cfg.colors)]
     # here the trimmed Q does not verify, so the one attempt ends there
     assert info.value.details["stage"] == "verify"
+    assert len(info.value.details["attempts"]) == 1
