@@ -6,6 +6,13 @@ dense-subtuple extraction whose output is guaranteed to keep at least one
 edge inside every pair of large enough subsets (the "no empty corner"
 property, verified here by brute force).
 
+The exact extraction is a branch and bound over tuples of s-subsets,
+chosen part by part: a subtree whose largest possible edge count cannot
+reach the least count that could beat the best tuple so far is skipped,
+and a size ends once that count exceeds s^(d+1).  Only tuples below the
+count are skipped, so the comparisons made, and their order, are those
+of the plain enumeration that skips just the tuples below it.
+
 Density functionals e / s^(d+1-eps^(2d)) are never evaluated in floating
 point: comparisons cross-power to integers, with exact interval bounds
 taking over when the exponent denominator makes literal powering
@@ -270,25 +277,33 @@ def extract_dense_exact(h: PartiteHypergraph, epsilon) -> Subsets:
     the smallest part) and every tuple of s-subsets.
 
     Ties break to the lexicographically smallest tuple.  `DEFAULT_GATE`
-    bounds the number of tuples scored.
+    bounds the number of tuples the enumeration could score, its worst
+    case; the bounds below skip most of them.  With no edges every tuple
+    ties at zero, and the least tuple of size 1 is returned at once.
 
     The edge list is never scanned per tuple.  Fix s and a prefix
     S_0, ..., S_{d-1}, and let cnt[c] count the edges inside the prefix
     whose last vertex is c; then e(S) = sum of cnt[c] over c in S_d.
     The edges are bucketed once by their prefix, and cnt is folded part
-    by part from those buckets.  One incumbent is kept, and `need` is
-    the least edge count a tuple of size s needs to replace it.  At each
-    new s, `need` is the least count whose value is not strictly below
-    the incumbent (an undecided comparison counts as not below).  When a
-    tuple of size s becomes the incumbent with e edges, `need` is e + 1:
-    tuples come in lexicographic order within a size, so a later one
-    with e edges ties and loses the tie.  A prefix whose s largest
-    counts sum below `need` is skipped whole, and so is every S_d that
-    sums below it; every other tuple replaces the incumbent when it is
-    greater under (value descending, tuple ascending).  That maximum is
-    one fixed tuple whatever the order of comparison, and no skipped
-    tuple could replace the incumbent, so the result equals that of
-    scoring every tuple.
+    by part from those buckets (`_prefix_counts`).  One incumbent is
+    kept, and `need` is the least edge count a tuple of size s needs to
+    replace it.  At each new s, `need` is the least count whose value is
+    not strictly below the incumbent (an undecided comparison counts as
+    not below).  When a tuple of size s becomes the incumbent with e
+    edges, `need` is e + 1: tuples come in lexicographic order within a
+    size, so a later one with e edges ties and loses the tie.
+
+    Branch and bound on `need`, which only grows within a size: the fold
+    skips every prefix subtree whose bound on e(S) over all its
+    completions is below `need` (see `_prefix_counts`), every S_d that
+    sums below it is skipped, and a size ends once `need` exceeds
+    s^(d+1), the most edges s-subsets can hold.  Every other tuple
+    replaces the incumbent when it is greater under (value descending,
+    tuple ascending).  That maximum is one fixed tuple whatever the
+    order of comparison.  A skipped tuple has e < `need` and could not
+    replace the incumbent, so the result is that maximum, and the
+    comparisons made, in their order, are those of the plain enumeration
+    that skips just the tuples below `need`.
     """
     if exact_tuple_count(h.part_sizes, DEFAULT_GATE) > DEFAULT_GATE:
         raise BudgetExceededError(
@@ -296,24 +311,28 @@ def extract_dense_exact(h: PartiteHypergraph, epsilon) -> Subsets:
             "densify cannot extract exactly from parts this large"
         )
     exponent = density_exponent(h.d, Fraction(epsilon))
+    if not h.edges:
+        return ((0,),) * h.num_parts
     *prefix_sizes, last_size = h.part_sizes
     # cnt travels packed in one int, `width` bits per last vertex; no
     # count exceeds prod(prefix_sizes), so fields never carry over.
     width = math.prod(prefix_sizes).bit_length()
-    field = (1 << width) - 1
     buckets: dict[tuple[int, ...], int] = {}
     for e in h.edges:
         buckets[e[:-1]] = buckets.get(e[:-1], 0) + (1 << (width * e[-1]))
     best: tuple[DensityValue, Subsets] | None = None
     for s in range(1, min(h.part_sizes) + 1):
-        last_subsets = list(itertools.combinations(range(last_size), s))
+        cap = s**h.num_parts
         need = 0 if best is None else _least_entering_count(
-            s, exponent, best[0], cap=s**h.num_parts
+            s, exponent, best[0], cap=cap
         )
-        for prefix, packed in _prefix_counts(buckets, prefix_sizes, s):
-            cnt = [(packed >> (width * c)) & field for c in range(last_size)]
-            if sum(sorted(cnt, reverse=True)[:s]) < need:
-                continue
+        if need > cap:
+            continue
+        last_subsets = list(itertools.combinations(range(last_size), s))
+        # The fold reads `need` live: it rises within the size.
+        for prefix, cnt in _prefix_counts(
+            buckets, prefix_sizes, last_size, width, s, lambda: need
+        ):
             for sub in last_subsets:
                 e = sum([cnt[c] for c in sub])
                 if e < need:
@@ -325,19 +344,51 @@ def extract_dense_exact(h: PartiteHypergraph, epsilon) -> Subsets:
                         continue
                 best = value, tup
                 need = e + 1
+            if need > cap:
+                break
     return best[1]
 
 
-def _prefix_counts(buckets: dict, sizes: Sequence[int], s: int):
-    """(S_0, ..., S_{d-1}) and its packed cnt, for every tuple of
-    s-subsets of the parts in `sizes`, in lexicographic order.  Each
-    level sums the buckets whose leading vertex lies in its subset."""
+def _prefix_counts(
+    buckets: dict, sizes: Sequence[int], last_size: int, width: int, s: int, need
+):
+    """(S_0, ..., S_{d-1}) and its cnt list, in lexicographic order,
+    for every tuple of s-subsets of the parts in `sizes` whose subtree
+    can still hold a tuple with `need()` edges; `need` is read live.
+
+    Each level keeps a table from the rest of an edge's prefix to the
+    packed counts, per last vertex, of the edges inside the subsets
+    chosen so far; choosing S_k keeps the keys led by a vertex of S_k.
+    A completion takes at most the s largest counts of each key; sum
+    them per leading vertex v into U(v).  Every completion of S_k then
+    has at most the sum of U(v) over S_k edges, and every completion of
+    the level at most the sum of the s largest U(v).  A level whose
+    bound is below `need()` enumerates nothing, and a subset whose sum
+    is below it is skipped with its subtree.  At the last level the
+    bound is the sum of the prefix's s largest counts.
+    """
+    field = (1 << width) - 1
+
+    def unpack(packed: int) -> list[int]:
+        return [(packed >> (width * c)) & field for c in range(last_size)]
+
+    def top(counts: list[int]) -> int:
+        return sum(sorted(counts, reverse=True)[:s])
 
     def fold(level: int, table: dict, chosen: Subsets):
         if level == len(sizes):
-            yield chosen, table.get((), 0)
+            cnt = unpack(table.get((), 0))
+            if top(cnt) >= need():
+                yield chosen, cnt
+            return
+        upper = [0] * sizes[level]
+        for key, packed in table.items():
+            upper[key[0]] += top(unpack(packed))
+        if top(upper) < need():
             return
         for sub in itertools.combinations(range(sizes[level]), s):
+            if sum([upper[v] for v in sub]) < need():
+                continue
             members = set(sub)
             folded: dict[tuple[int, ...], int] = {}
             for key, packed in table.items():

@@ -303,6 +303,24 @@ def test_densify_gate_refuses_huge_parts_at_once(tmp_path, capsys):
     )
 
 
+def test_densify_edgeless_answers_without_scoring(tmp_path, capsys, monkeypatch):
+    # Every tuple ties at zero, so the least size-1 tuple wins; scoring
+    # them all would make ~5.5 M comparisons at part sizes 9.
+    calls = []
+    compare = hypergraph.DensityValue._compare
+
+    def counted(self, other):
+        calls.append((self, other))
+        return compare(self, other)
+
+    monkeypatch.setattr(hypergraph.DensityValue, "_compare", counted)
+    hg = tmp_path / "h.json"
+    hg.write_text(json.dumps({"part_sizes": [9, 9, 9], "edges": []}))
+    assert run_cli("densify", "--input", str(hg)) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {"subsets": [[0], [0], [0]]}
+    assert calls == []
+
+
 _GOOD_HYPERGRAPH = {"part_sizes": [2, 2, 2], "edges": [[0, 1, 0], [1, 1, 1]]}
 
 

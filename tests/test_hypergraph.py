@@ -23,13 +23,16 @@ from rainbowdepth import (
     partite_hypergraph,
     verify_property_ii,
 )
+from rainbowdepth.config import DISTRIBUTIONS, GeneratorSpec, generate
 from rainbowdepth.depth import theoretical_constants
 from rainbowdepth.hypergraph import (
+    _least_entering_count,
     _mask_of,
     _require_equal_parts,
     density_exponent,
     exact_tuple_count,
 )
+from rainbowdepth.pipeline import PipelineParams, run_pipeline
 from test_acceptance import random_dense_hypergraph
 
 
@@ -260,6 +263,125 @@ def test_extract_exact_matches_enumeration_on_criterion_4_cases():
     for _ in range(30):
         h = random_dense_hypergraph(rng)
         assert_matches_enumeration(h, Fraction(1, 3))
+
+
+def unbounded_extract_dense_exact(h, epsilon):
+    """Reference for extract_dense_exact: the per-prefix fold without its
+    bounds.  Every prefix of every size is folded, and only a prefix
+    whose s largest counts sum below `need`, or an S_d that sums below
+    it, is skipped; no size ends early and edgeless input is scored."""
+    exponent = density_exponent(h.d, Fraction(epsilon))
+    *prefix_sizes, last_size = h.part_sizes
+    width = math.prod(prefix_sizes).bit_length()
+    field = (1 << width) - 1
+    buckets = {}
+    for e in h.edges:
+        buckets[e[:-1]] = buckets.get(e[:-1], 0) + (1 << (width * e[-1]))
+
+    def prefix_counts(s):
+        def fold(level, table, chosen):
+            if level == len(prefix_sizes):
+                yield chosen, table.get((), 0)
+                return
+            for sub in itertools.combinations(range(prefix_sizes[level]), s):
+                folded = {}
+                for key, packed in table.items():
+                    if key[0] in sub:
+                        folded[key[1:]] = folded.get(key[1:], 0) + packed
+                yield from fold(level + 1, folded, chosen + (sub,))
+
+        yield from fold(0, buckets, ())
+
+    best = None
+    for s in range(1, min(h.part_sizes) + 1):
+        last_subsets = list(itertools.combinations(range(last_size), s))
+        need = 0 if best is None else _least_entering_count(
+            s, exponent, best[0], cap=s**h.num_parts
+        )
+        for prefix, packed in prefix_counts(s):
+            cnt = [(packed >> (width * c)) & field for c in range(last_size)]
+            if sum(sorted(cnt, reverse=True)[:s]) < need:
+                continue
+            for sub in last_subsets:
+                e = sum(cnt[c] for c in sub)
+                if e < need:
+                    continue
+                value, tup = DensityValue(e, s, exponent), prefix + (sub,)
+                if best is not None:
+                    cmp = value._compare(best[0])
+                    if cmp < 0 or (cmp == 0 and tup > best[1]):
+                        continue
+                best = value, tup
+                need = e + 1
+    return best[1]
+
+
+def logged_outcome(extract, h, epsilon):
+    """The result or exception of `extract(h, epsilon)`, and every
+    DensityValue comparison it made, operands in order."""
+    log = []
+    compare = DensityValue._compare
+
+    def logged(self, other):
+        log.append((self, other))
+        return compare(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(DensityValue, "_compare", logged)
+        try:
+            outcome = extract(h, epsilon)
+        except ExactComparisonError as exc:
+            outcome = type(exc), str(exc)
+    return outcome, log
+
+
+def assert_same_comparisons_as_unbounded(h, epsilon):
+    assert logged_outcome(extract_dense_exact, h, epsilon) == logged_outcome(
+        unbounded_extract_dense_exact, h, epsilon
+    )
+
+
+BOUND_EPSILONS = [
+    Fraction(1, 4), Fraction(1, 3), Fraction(49, 100), Fraction(1, 7), Fraction(1, 256)
+]
+
+
+@st.composite
+def hypergraphs_with_edges(draw):
+    sizes = draw(st.lists(st.integers(1, 7), min_size=2, max_size=4))
+    density = draw(st.sampled_from([0.02, 0.1, 0.3, 0.5, 0.8, 0.95, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    rainbow = list(itertools.product(*[range(n_i) for n_i in sizes]))
+    edges = [e for e in rainbow if rng.random() < density]
+    return partite_hypergraph(sizes, edges or [rng.choice(rainbow)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=hypergraphs_with_edges(), epsilon=st.sampled_from(BOUND_EPSILONS))
+# One complete box among sparse edges: need passes s^(d+1) mid-size.
+@example(
+    h=partite_hypergraph(
+        [5] * 3,
+        list(itertools.product(range(1, 4), repeat=3)) + [(0, 4, 0), (4, 0, 4)],
+    ),
+    epsilon=Fraction(1, 4),
+)
+# A single edge in four parts of 7: nearly every subtree is bounded away.
+@example(h=partite_hypergraph([7] * 4, [(6, 5, 4, 3)]), epsilon=Fraction(1, 3))
+def test_extract_exact_compares_as_unbounded(h, epsilon):
+    assert_same_comparisons_as_unbounded(h, epsilon)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("distribution", DISTRIBUTIONS)
+def test_extract_exact_compares_as_unbounded_on_pipeline_hypergraphs(
+    distribution, seed
+):
+    for n in range(2, 9):
+        cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+        h = run_pipeline(cfg, PipelineParams()).hypergraph
+        for epsilon in BOUND_EPSILONS:
+            assert_same_comparisons_as_unbounded(h, epsilon)
 
 
 def test_exact_tuple_count():
