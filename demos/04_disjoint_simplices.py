@@ -1,8 +1,9 @@
 """Three vertex-disjoint rainbow triangles with a common interior point.
 
 With 8 points per color in general position this always succeeds; the
-search enumerates lexicographically and certifies the first feasible
-triple with an exact margin-maximizing witness.
+search enumerates lexicographically, clips the triangles exactly, and
+certifies the first feasible triple with the vertex average of their
+common region, an exact witness strictly inside all three.
 """
 
 import time
@@ -28,7 +29,7 @@ for t in cert.simplices:
     assert point_in_simplex_interior(cert.witness, verts)
 print("witness re-verified strictly inside all three simplices")
 
-# the feasibility primitive on its own: two nested triangles
+# the margin-LP primitive on its own: two nested triangles
 outer = [point(0, 0), point(9, 0), point(0, 9)]
 inner = [point(1, 1), point(3, 1), point(1, 3)]
 print("\nnested triangles share interior point:", common_interior_point([outer, inner]))

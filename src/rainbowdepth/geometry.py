@@ -167,10 +167,7 @@ def orientation(vertices: Sequence[Point]) -> Sign:
     if d == 2:
         (ax, ay), (bx, by), (cx, cy) = verts
         return sign((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
-    rows = [
-        [verts[i][j] - verts[0][j] for j in range(d)] for i in range(1, d + 1)
-    ]
-    return sign(_det(rows))
+    return sign(orientation_value(verts))
 
 
 def orientation_value(vertices: Sequence[Point]) -> Fraction:

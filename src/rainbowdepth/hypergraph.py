@@ -224,10 +224,15 @@ class DensityValue:
         return self._compare(other) >= 0
 
 
-def density_exponent(d: int, epsilon: Fraction) -> Fraction:
-    epsilon = Fraction(epsilon)
+def checked_epsilon(epsilon: Fraction) -> Fraction:
+    """epsilon itself, after checking that it lies in (0, 1/2)."""
     if not 0 < epsilon < Fraction(1, 2):
         raise InputError("epsilon must lie in (0, 1/2)")
+    return epsilon
+
+
+def density_exponent(d: int, epsilon: Fraction) -> Fraction:
+    epsilon = checked_epsilon(Fraction(epsilon))
     return Fraction(d + 1) - epsilon ** (2 * d)
 
 
@@ -546,9 +551,7 @@ def verify_property_ii(h: PartiteHypergraph, subsets, epsilon) -> PropertyIIRepo
     if len(sizes) != 1:
         raise InputError("subsets must have equal size")
     s = sizes.pop()
-    epsilon = Fraction(epsilon)
-    if not 0 < epsilon < Fraction(1, 2):
-        raise InputError("epsilon must lie in (0, 1/2)")
+    epsilon = checked_epsilon(Fraction(epsilon))
     q = max(1, math.ceil(epsilon * s))
     if math.comb(s, q) ** h.num_parts > DEFAULT_GATE:
         raise BudgetExceededError(

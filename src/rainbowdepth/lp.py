@@ -1,11 +1,16 @@
 """Exact linear programming over rationals.
 
-A small dense two-phase simplex with Bland's rule: adequate for the
-separation and common-interior feasibility programs this package builds
-(a handful of free variables, tens of constraints), and fully exact --
-every tableau entry is a Fraction, so "optimum > 0" is a certificate,
-not a numerical judgement.  Deterministic: Bland's rule breaks all ties
-by lowest index, so identical inputs pivot identically.
+A small dense one-phase simplex with Bland's rule: adequate for the
+separation and common-interior programs this package builds (a handful
+of free variables, tens of constraints), and fully exact -- every
+tableau entry is a Fraction, so "optimum > 0" is a certificate, not a
+numerical judgement.  Deterministic: Bland's rule breaks all ties by
+lowest index, so identical inputs pivot identically.
+
+Contract: the origin is feasible, i.e. every right-hand side is >= 0.
+The slack basis is then a starting vertex and no phase 1 is needed;
+callers shift their variables to meet the contract, and a negative
+right-hand side raises InputError.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from typing import Sequence
 from .errors import InputError
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
@@ -31,7 +35,7 @@ class LPResult:
 def solve_lp_max(
     objective: Sequence, a_ub: Sequence[Sequence], b_ub: Sequence
 ) -> LPResult:
-    """Maximize objective . x subject to a_ub x <= b_ub, x free."""
+    """Maximize objective . x subject to a_ub x <= b_ub, x free, b_ub >= 0."""
     c = [Fraction(v) for v in objective]
     a = [[Fraction(v) for v in row] for row in a_ub]
     b = [Fraction(v) for v in b_ub]
@@ -39,112 +43,51 @@ def solve_lp_max(
     m = len(a)
     if any(len(row) != n for row in a) or len(b) != m:
         raise InputError("inconsistent LP shapes")
+    if any(v < 0 for v in b):
+        raise InputError("the origin must be feasible: every b_ub must be >= 0")
 
-    # x = u - v with u, v >= 0; one slack/surplus per row; artificials for
-    # rows whose right-hand side had to be negated.
-    n_struct = 2 * n
-    art_rows = [i for i in range(m) if b[i] < 0]
-    n_art = len(art_rows)
-    width = n_struct + m + n_art
+    # x = u - v with u, v >= 0 and one slack per row; the slacks form the
+    # starting basis.  Row m holds the reduced costs, which at the slack
+    # basis are the objective's own coefficients.
+    width = 2 * n + m
+    zero = Fraction(0)
+    tableau = []
+    for i, row in enumerate(a):
+        slack = [zero] * m
+        slack[i] = Fraction(1)
+        tableau.append(row + [-v for v in row] + slack + [b[i]])
+    tableau.append(c + [-v for v in c] + [zero] * (m + 1))
+    basis = list(range(2 * n, width))
 
-    tableau: list[list[Fraction]] = []
-    basis: list[int] = []
-    art_col = {row: n_struct + m + k for k, row in enumerate(art_rows)}
-    for i in range(m):
-        row = [Fraction(0)] * (width + 1)
-        flip = -1 if b[i] < 0 else 1
-        for j in range(n):
-            row[j] = flip * a[i][j]
-            row[n + j] = -flip * a[i][j]
-        row[n_struct + i] = Fraction(flip)
-        row[width] = flip * b[i]
-        if i in art_col:
-            row[art_col[i]] = Fraction(1)
-            basis.append(art_col[i])
-        else:
-            basis.append(n_struct + i)
-        tableau.append(row)
+    while True:
+        reduced = tableau[m]
+        entering = next((j for j in range(width) if reduced[j] > 0), None)
+        if entering is None:  # Bland: lowest improving index, else optimal
+            break
+        leaving = -1
+        best: Fraction | None = None
+        for i in range(m):
+            coeff = tableau[i][entering]
+            if coeff > 0:
+                ratio = tableau[i][-1] / coeff
+                if (
+                    best is None
+                    or ratio < best
+                    or (ratio == best and basis[i] < basis[leaving])
+                ):
+                    best = ratio
+                    leaving = i
+        if leaving < 0:
+            return LPResult(UNBOUNDED, None, None)
+        piv = tableau[leaving][entering]
+        pivot_row = tableau[leaving] = [v / piv for v in tableau[leaving]]
+        for i, row in enumerate(tableau):
+            factor = row[entering]
+            if i != leaving and factor != 0:
+                tableau[i] = [v - factor * w for v, w in zip(row, pivot_row)]
+        basis[leaving] = entering
 
-    def pivot(r: int, col: int) -> None:
-        piv = tableau[r][col]
-        tableau[r] = [v / piv for v in tableau[r]]
-        for i in range(len(tableau)):
-            if i != r and tableau[i][col] != 0:
-                factor = tableau[i][col]
-                tableau[i] = [
-                    v - factor * w for v, w in zip(tableau[i], tableau[r])
-                ]
-        basis[r] = col
-
-    def run_simplex(obj: list[Fraction], allowed: int) -> str:
-        while True:
-            duals = [obj[basis[i]] for i in range(len(tableau))]
-            entering = -1
-            for j in range(allowed):
-                if j in basis:
-                    continue
-                reduced = obj[j] - sum(
-                    duals[i] * tableau[i][j] for i in range(len(tableau))
-                )
-                if reduced > 0:
-                    entering = j
-                    break  # Bland: lowest index
-            if entering < 0:
-                return OPTIMAL
-            leaving = -1
-            best: Fraction | None = None
-            for i in range(len(tableau)):
-                coeff = tableau[i][entering]
-                if coeff > 0:
-                    ratio = tableau[i][-1] / coeff
-                    if (
-                        best is None
-                        or ratio < best
-                        or (ratio == best and basis[i] < basis[leaving])
-                    ):
-                        best = ratio
-                        leaving = i
-            if leaving < 0:
-                return UNBOUNDED
-            pivot(leaving, entering)
-
-    if n_art:
-        phase1 = [Fraction(0)] * width
-        for col in art_col.values():
-            phase1[col] = Fraction(-1)
-        run_simplex(phase1, width)
-        infeas = sum(
-            tableau[i][-1] for i in range(len(tableau)) if basis[i] >= n_struct + m
-        )
-        if infeas != 0:
-            return LPResult(INFEASIBLE, None, None)
-        # Pivot remaining zero-level artificials out of the basis; a row
-        # with no eligible pivot is redundant and can be dropped.
-        for i in reversed(range(len(tableau))):
-            if basis[i] >= n_struct + m:
-                col = next(
-                    (
-                        j
-                        for j in range(n_struct + m)
-                        if tableau[i][j] != 0
-                    ),
-                    None,
-                )
-                if col is None:
-                    del tableau[i]
-                    del basis[i]
-                else:
-                    pivot(i, col)
-
-    phase2 = [Fraction(0)] * width
-    for j in range(n):
-        phase2[j] = c[j]
-        phase2[n + j] = -c[j]
-    status = run_simplex(phase2, n_struct + m)
-    if status != OPTIMAL:
-        return LPResult(UNBOUNDED, None, None)
-
-    values = [Fraction(0)] * width
+    values = [zero] * width
     for i, col in enumerate(basis):
         values[col] = tableau[i][-1]
     x = tuple(values[j] - values[n + j] for j in range(n))

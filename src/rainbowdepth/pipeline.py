@@ -60,6 +60,7 @@ from .geometry import (
 from .hypergraph import (
     DEFAULT_GATE,
     PartiteHypergraph,
+    checked_epsilon,
     edge_count,
     exact_tuple_count,
     extract_dense_exact,
@@ -81,10 +82,7 @@ def resolve_epsilon(epsilon: Fraction | str, d: int) -> Fraction:
     1/2^(d*2^d)."""
     if epsilon == "paper":
         return theoretical_constants(d, 1).epsilon
-    eps = rational(epsilon)
-    if not 0 < eps < Fraction(1, 2):
-        raise InputError("epsilon must lie in (0, 1/2)")
-    return eps
+    return checked_epsilon(rational(epsilon))
 
 
 @dataclass(frozen=True)

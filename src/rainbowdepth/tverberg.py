@@ -2,14 +2,14 @@
 
 Exhaustive desk-scale search: enumerate k-tuples of pairwise
 vertex-disjoint rainbow simplices in lexicographic order and return the
-first tuple whose open interiors intersect.  Feasibility is decided by
-an exact rational LP that maximizes the minimum facet margin; a strictly
-positive optimum is the certificate and its optimizer the witness point.
+first tuple whose open interiors intersect.
 
-In the plane an exact convex-clipping prefilter discards infeasible
-tuples before the LP runs; the filter is exact (positive clipped area is
-equivalent to a nonempty open intersection of convex polygons), so it
-never changes which tuple is returned first.
+In the plane the search clips triangles exactly: the open interiors
+meet iff the clipped common region has positive area, and the average
+of that region's vertices is then a witness strictly inside every
+triangle.  No LP runs.  In dimension d >= 3 feasibility is decided by an
+exact rational LP that maximizes the minimum facet margin; a strictly
+positive optimum is the certificate and its optimizer the witness point.
 """
 
 from __future__ import annotations
@@ -58,7 +58,11 @@ def common_interior_point(simplices: Sequence[Sequence[Point]]) -> Point | None:
 
     Decided by maximizing the minimum facet margin: variables (p, t),
     constraints margin_i(p) >= t plus t <= 1; the open intersection is
-    nonempty iff the optimum is strictly positive.
+    nonempty iff the optimum is strictly positive.  The LP solver starts
+    from a feasible origin, so t is shifted: t = t' + sigma, with sigma
+    the least right-hand side (the t <= 1 row included).  Every row's
+    right-hand side drops by sigma and is then >= 0, (p, t') = 0 is
+    feasible, and the optimum t is the optimum t' plus sigma.
     """
     simps = [[point(v) for v in simplex] for simplex in simplices]
     if not simps:
@@ -75,16 +79,17 @@ def common_interior_point(simplices: Sequence[Sequence[Point]]) -> Point | None:
             b_ub.append(const)
     a_ub.append([Fraction(0)] * d + [Fraction(1)])
     b_ub.append(Fraction(1))
+    sigma = min(b_ub)
     objective = [Fraction(0)] * d + [Fraction(1)]
-    result = solve_lp_max(objective, a_ub, b_ub)
+    result = solve_lp_max(objective, a_ub, [v - sigma for v in b_ub])
     if result.status != OPTIMAL:  # cannot happen: always feasible, t <= 1
         raise AssertionError(f"margin LP returned {result.status}")
-    if result.value <= 0:
+    if result.value + sigma <= 0:
         return None
     return tuple(result.x[:d])
 
 
-# --- exact planar clipping prefilter ----------------------------------------
+# --- exact planar clipping ---------------------------------------------------
 
 
 def _clip_halfplane(poly, a, b, c):
@@ -177,13 +182,13 @@ def find_disjoint_rainbow_simplices(
             f"got {max(sizes)}"
         )
 
-    all_tuples = sorted(itertools.product(*[range(s) for s in sizes]))
+    all_tuples = list(itertools.product(*[range(s) for s in sizes]))
 
     def vertices_of(idx):
         return [classes[i][idx[i]] for i in range(d + 1)]
 
     if d == 2:
-        return _search_plane(classes, all_tuples, k, vertices_of)
+        return _search_plane(all_tuples, k, vertices_of)
     if len(all_tuples) ** k > MAX_TUPLE_ESTIMATE:
         raise BudgetExceededError(
             f"about {len(all_tuples)}^{k} candidate tuples exceed the "
@@ -194,7 +199,7 @@ def find_disjoint_rainbow_simplices(
 
 def _search_general(all_tuples, k, vertices_of):
     for combo in itertools.combinations(all_tuples, k):
-        if not _pairwise_disjoint(combo):
+        if any(not _disjoint(s, t) for s, t in itertools.combinations(combo, 2)):
             continue
         witness = common_interior_point([vertices_of(t) for t in combo])
         if witness is not None:
@@ -202,21 +207,11 @@ def _search_general(all_tuples, k, vertices_of):
     return None
 
 
-def _pairwise_disjoint(combo) -> bool:
-    for pos in range(len(combo[0])):
-        seen = set()
-        for t in combo:
-            if t[pos] in seen:
-                return False
-            seen.add(t[pos])
-    return True
-
-
 def _disjoint(t1, t2) -> bool:
     return all(a != b for a, b in zip(t1, t2))
 
 
-def _search_plane(classes, all_tuples, k, vertices_of):
+def _search_plane(all_tuples, k, vertices_of):
     triangles = {t: [(v[0], v[1]) for v in vertices_of(t)] for t in all_tuples}
     bboxes = {}
     for t, tri in triangles.items():
@@ -231,9 +226,9 @@ def _search_plane(classes, all_tuples, k, vertices_of):
 
     def extend(chosen, region, region_bbox, start):
         if len(chosen) == k:
-            witness = common_interior_point([vertices_of(t) for t in chosen])
-            if witness is None:  # clipping said nonempty: cannot happen
-                raise AssertionError("clip prefilter disagrees with margin LP")
+            # positive area: every vertex weighs in, so the average is
+            # strictly interior to the region and to each triangle
+            witness = tuple(sum(c) / len(region) for c in zip(*region))
             return TverbergCertificate(tuple(chosen), witness)
         for idx in range(start, len(all_tuples)):
             t = all_tuples[idx]

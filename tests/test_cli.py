@@ -602,10 +602,12 @@ def _separate_argv(tmp_path):
     return ["separate", "--input", str(path)]
 
 
-def _tverberg_argv(tmp_path):
-    path = tmp_path / "cfg8.json"
-    run_cli("gen", "--seed", "0", "--n", "8", "--dim", "2", "--output", str(path))
-    return ["tverberg", "--input", str(path), "--k", "3"]
+def _tverberg_3d_argv(tmp_path):
+    """A d = 3 search, which decides each tuple with the margin LP (the
+    planar search clips and never calls it); small enough for the gate."""
+    path = tmp_path / "cfg3d.json"
+    run_cli("gen", "--seed", "0", "--n", "2", "--dim", "3", "--output", str(path))
+    return ["tverberg", "--input", str(path), "--k", "2"]
 
 
 def _lp_fails(*args):
@@ -618,11 +620,9 @@ def _lp_fails(*args):
         (_separate_argv, separation, "solve_lp_max", _lp_fails, "separation LP"),
         (_separate_argv, separation, "satisfies_bisection_contract",
          lambda h, sets: False, "ham-sandwich"),
-        (_tverberg_argv, tverberg, "solve_lp_max", _lp_fails, "margin LP"),
-        (_tverberg_argv, tverberg, "common_interior_point",
-         lambda simplices: None, "prefilter"),
+        (_tverberg_3d_argv, tverberg, "solve_lp_max", _lp_fails, "margin LP"),
     ],
-    ids=["separation-lp", "ham-sandwich", "margin-lp", "clip-prefilter"],
+    ids=["separation-lp", "ham-sandwich", "margin-lp"],
 )
 def test_broken_internal_contract_exit_1(
     tmp_path, capsys, monkeypatch, argv, module, name, fake, message
