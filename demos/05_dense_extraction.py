@@ -1,7 +1,8 @@
 """Dense equal-size subsets of a partite hypergraph.
 
-The extraction maximizes e(S_1,S_2,S_3) / s^(3 - eps^4) exactly (all
-comparisons cross-powered to integers), which buys the key property:
+The extraction maximizes e(S_1,S_2,S_3) / s^(3 - eps^4) exactly (every
+comparison decided in integers, by cross-powering or by bounds on the
+logarithms), which buys the key property:
 every tuple of ceil(eps*s)-subsets of the output still spans an edge.
 """
 

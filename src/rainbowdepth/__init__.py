@@ -24,7 +24,6 @@ from .depth import (
 )
 from .errors import (
     BudgetExceededError,
-    ExactComparisonError,
     GenerationError,
     InputError,
     ParseError,

@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Subcommands: gen, check, depth, tverberg, densify, separate, run, verify.
-Exit codes: 0 success/verified, 1 verification failure or a broken
-internal contract, 2 input error, 3 budget/gate error or an undecided
-exact comparison.  Errors are written to stderr as one-line JSON
-objects so callers can parse them.
+Exit codes: 0 success/verified; 1 a failed verification,
+TrimExhaustedError, PipelineStageError or AssertionError ("internal");
+2 InputError or OSError; 3 BudgetExceededError or GenerationError.
+Errors are written to stderr as one-line JSON objects so callers can
+parse them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .depth import (
 )
 from .errors import (
     BudgetExceededError,
-    ExactComparisonError,
     GenerationError,
     InputError,
     PipelineStageError,
@@ -313,7 +313,7 @@ def cli_main(argv=None) -> int:
     except (InputError, OSError) as exc:
         _error("input", exc)
         return EXIT_INPUT
-    except (BudgetExceededError, GenerationError, ExactComparisonError) as exc:
+    except (BudgetExceededError, GenerationError) as exc:
         _error("budget", exc)
         return EXIT_BUDGET
     except TrimExhaustedError as exc:

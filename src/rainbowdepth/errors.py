@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps these onto exit codes: InputError and subclasses -> 2,
-BudgetExceededError -> 3, verification failures -> 1.
+The CLI maps these onto exit codes: InputError (and subclasses) and
+OSError -> 2; BudgetExceededError and GenerationError -> 3;
+TrimExhaustedError, PipelineStageError and AssertionError ("internal") -> 1.
 """
 
 
@@ -55,7 +56,3 @@ class PipelineStageError(RuntimeError):
         super().__init__(f"stage {stage}: {message}")
         self.stage = stage
         self.details = details or {}
-
-
-class ExactComparisonError(RuntimeError):
-    """An exact comparison could not be decided within integer limits."""

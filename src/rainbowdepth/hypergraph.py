@@ -14,9 +14,9 @@ count are skipped, so the comparisons made, and their order, are those
 of the plain enumeration that skips just the tuples below it.
 
 Density functionals e / s^(d+1-eps^(2d)) are never evaluated in floating
-point: comparisons cross-power to integers, with exact interval bounds
-taking over when the exponent denominator makes literal powering
-infeasible.
+point.  Two of them compare by the exact sign of a difference of
+logarithms: cross-powered to integers when the powers are small enough
+to tie, else bounded in integers until the bounds separate.
 """
 
 from __future__ import annotations
@@ -30,17 +30,11 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .config import parse_json
-from .errors import (
-    BudgetExceededError,
-    ExactComparisonError,
-    InputError,
-    ParseError,
-)
+from .errors import BudgetExceededError, InputError, ParseError
 
 Subsets = tuple[tuple[int, ...], ...]
 
 DEFAULT_GATE = 10**7
-_CROSS_POWER_LIMIT = 4096  # largest exponent denominator powered literally
 
 
 @dataclass(frozen=True)
@@ -147,10 +141,10 @@ class DensityValue:
     """e / s^exponent packaged for exact comparison.
 
     The exponent is d+1 - eps^(2d) for eps in (0, 1/2), so it lies
-    strictly between d and d+1.  Comparisons cross-power both sides to
-    integers; when the exponent denominator is too large to power
-    literally, exact rational bounds on r^delta (delta = the fractional
-    deficit) decide instead.
+    strictly between d and d+1.  Every comparison is exact and decides:
+    values of equal size compare by edge count, and values of different
+    sizes by the sign of q*log2(e1/e2) - p*log2(s1/s2), with p/q the
+    exponent in lowest terms.
     """
 
     edge_count: int
@@ -174,42 +168,23 @@ class DensityValue:
             return (e1 > 0) - (e2 > 0)
         if s1 == s2:
             return (e1 > e2) - (e1 < e2)
-        # Write the functional as (e/s^A) * s^delta with A = ceil(exponent)
-        # and delta = A - exponent in (0, 1).  When the main terms e/s^A
-        # and the sizes order the same way, the product does too; only the
-        # mixed case needs the fractional power.
-        a_int = math.ceil(self.exponent)
-        x = e1 * s2**a_int
-        y = e2 * s1**a_int
-        if x == y:
-            return (s1 > s2) - (s1 < s2)
-        if x > y and s1 > s2:
-            return 1
-        if x < y and s1 < s2:
-            return -1
-        q = self.exponent.denominator
-        p = self.exponent.numerator
-        if q <= _CROSS_POWER_LIMIT:
-            left = e1**q * s2**p
-            right = e2**q * s1**p
+        # e1/s1^(p/q) > e2/s2^(p/q) exactly when q*log2(e1/e2) > p*log2(s1/s2).
+        # A tie needs s1/s2 in lowest terms to be a q-th power, so
+        # max(s1, s2) >= 2^q: only then can the sides tie, and q is small.
+        p, q = self.exponent.numerator, self.exponent.denominator
+        if q < max(s1, s2).bit_length():
+            left, right = e1**q * s2**p, e2**q * s1**p
             return (left > right) - (left < right)
-        delta = a_int - self.exponent
-        # Normalize so that the larger size sits on the right.
-        flip = 1
-        if s1 > s2:
-            x, y, s1, s2 = y, x, s2, s1
-            flip = -1
-        r = Fraction(s2, s1)  # > 1
-        ratio = Fraction(x, y)
-        # 1 + delta(r-1)/r  <=  r^delta  <=  1 + delta(r-1)
-        if ratio > 1 + delta * (r - 1):
-            return flip
-        if ratio < 1 + delta * (r - 1) / r:
-            return -flip
-        raise ExactComparisonError(
-            f"comparison of {self} and {other} not decidable within bounds; "
-            f"exponent denominator {q} is too large to cross-power"
-        )
+        # Else the sides differ, and narrow enough log bounds separate them.
+        k = 8
+        while True:
+            e_lo, e_hi = _log2_bounds(e1, e2, k)
+            s_lo, s_hi = _log2_bounds(s1, s2, k)
+            if q * e_lo > p * s_hi:
+                return 1
+            if q * e_hi < p * s_lo:
+                return -1
+            k *= 2
 
     def __lt__(self, other):
         return self._compare(other) < 0
@@ -222,6 +197,36 @@ class DensityValue:
 
     def __ge__(self, other):
         return self._compare(other) >= 0
+
+
+def _log2_bounds(a: int, b: int, k: int) -> tuple[int, int]:
+    """Integers lo <= 2^k * log2(a/b) <= hi, for positive a and b.
+
+    The bit-by-bit logarithm: scale a/b by 2^-n into [1, 2), then square
+    k times, halving the square whenever it reaches 2.  The integer part
+    of 2^k * log2(a/b) is n * 2^k plus the halvings, read as bits.  The
+    mantissa is a fixed-point integer with k + 8 fractional bits, rounded
+    down at every step along one chain and up along the other: the first
+    chain's count bounds the logarithm from below, the second's plus one
+    from above.  Their rounding drifts by well under a unit, so
+    hi - lo <= 2 for every k.
+    """
+    n = a.bit_length() - b.bit_length()
+    if a << max(-n, 0) < b << max(n, 0):
+        n -= 1
+    f = k + 8
+    num, den = a << max(f - n, 0), b << max(n - f, 0)
+    lo_m, hi_m = num // den, -(-num // den)
+    lo = hi = n
+    two = 2 << f
+    for _ in range(k):
+        lo_m, hi_m = lo_m * lo_m >> f, -(-hi_m * hi_m >> f)
+        lo, hi = 2 * lo, 2 * hi
+        if lo_m >= two:
+            lo_m, lo = lo_m >> 1, lo + 1
+        if hi_m >= two:
+            hi_m, hi = (hi_m + 1) >> 1, hi + 1
+    return lo, hi + 1
 
 
 def checked_epsilon(epsilon: Fraction) -> Fraction:
@@ -293,10 +298,10 @@ def extract_dense_exact(h: PartiteHypergraph, epsilon) -> Subsets:
     by part from those buckets (`_prefix_counts`).  One incumbent is
     kept, and `need` is the least edge count a tuple of size s needs to
     replace it.  At each new s, `need` is the least count whose value is
-    not strictly below the incumbent (an undecided comparison counts as
-    not below).  When a tuple of size s becomes the incumbent with e
-    edges, `need` is e + 1: tuples come in lexicographic order within a
-    size, so a later one with e edges ties and loses the tie.
+    not strictly below the incumbent.  When a tuple of size s becomes the
+    incumbent with e edges, `need` is e + 1: tuples come in lexicographic
+    order within a size, so a later one with e edges ties and loses the
+    tie.
 
     Branch and bound on `need`, which only grows within a size: the fold
     skips every prefix subtree whose bound on e(S) over all its
@@ -408,17 +413,11 @@ def _least_entering_count(
     s: int, exponent: Fraction, last: DensityValue, cap: int
 ) -> int:
     """Smallest e <= cap whose DensityValue(e, s) is not strictly below
-    `last` (cap + 1 if none is).  The value grows with e, so bisect; an
-    undecided comparison counts as "not below", which can only lower
-    the result."""
+    `last` (cap + 1 if none is).  The value grows with e, so bisect."""
     lo, hi = 0, cap + 1
     while lo < hi:
         mid = (lo + hi) // 2
-        try:
-            below = DensityValue(mid, s, exponent)._compare(last) < 0
-        except ExactComparisonError:
-            below = False
-        if below:
+        if DensityValue(mid, s, exponent)._compare(last) < 0:
             lo = mid + 1
         else:
             hi = mid

@@ -195,7 +195,7 @@ def verify_certificate(
         indices.append([members[p] for p in q])
     if len(o_point) != cfg.dimension:
         raise InputError(
-            f"point dimension does not match dimension {len(o_point)}"
+            f"O has dimension {len(o_point)}, the configuration {cfg.dimension}"
         )
     table = None
     if cfg.dimension == 2:
@@ -408,8 +408,10 @@ def report_o_and_q(data: dict) -> tuple[Point, list[tuple[Point, ...]]]:
     try:
         o_point = json_point(data["O"])
         q_sets = [tuple(json_point(p) for p in q) for q in data["Q"]]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InputError(f"report missing O/Q fields: {exc}") from exc
+    except TypeError as exc:
+        raise InputError(f"report has malformed O/Q fields: {exc}") from exc
     return o_point, q_sets
 
 

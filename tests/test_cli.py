@@ -31,7 +31,6 @@ from rainbowdepth.cli import (
     cli_main,
 )
 from rainbowdepth.config import json_point, load_configuration
-from rainbowdepth.errors import ExactComparisonError
 from rainbowdepth.lp import LPResult
 
 
@@ -496,22 +495,37 @@ def _one_json_error(capsys) -> dict:
     return json.loads(err[0])
 
 
-@pytest.mark.parametrize("command", ["densify", "run"])
-def test_undecided_density_comparison_exit_3(
-    cfg_path, tmp_path, capsys, monkeypatch, command
-):
-    hg = tmp_path / "h.json"
+def test_verify_names_both_dimensions(n6_run, tmp_path, capsys):
+    # A planar configuration against a report whose O has three coordinates.
+    cfg_path, genuine = n6_run
     report = tmp_path / "report.json"
-    run_cli("run", "--input", str(cfg_path), "--output", str(report), "--hypergraph-out", str(hg))
-    capsys.readouterr()
+    report.write_text(json.dumps({**genuine, "O": genuine["O"] + ["0"]}))
+    assert run_cli("verify", "--input", str(cfg_path), "--report", str(report)) == EXIT_INPUT
+    assert _one_json_error(capsys) == {
+        "error": "input",
+        "message": "O has dimension 3, the configuration 2",
+    }
 
-    def undecided(self, other):
-        raise ExactComparisonError("comparison not decidable within bounds")
 
-    monkeypatch.setattr(hypergraph.DensityValue, "_compare", undecided)
-    source = hg if command == "densify" else cfg_path
-    assert run_cli(command, "--input", str(source)) == EXIT_BUDGET
-    assert _one_json_error(capsys)["error"] == "budget"
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda data: data.pop("Q"), "report missing O/Q fields: 'Q'"),
+        (
+            lambda data: data.update(Q=5),
+            "report has malformed O/Q fields: 'int' object is not iterable",
+        ),
+    ],
+    ids=["missing", "malformed"],
+)
+def test_verify_report_o_and_q_errors(n6_run, tmp_path, capsys, edit, message):
+    cfg_path, genuine = n6_run
+    data = json.loads(json.dumps(genuine))
+    edit(data)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(data))
+    assert run_cli("verify", "--input", str(cfg_path), "--report", str(report)) == EXIT_INPUT
+    assert _one_json_error(capsys) == {"error": "input", "message": message}
 
 
 @pytest.mark.parametrize(
