@@ -5,10 +5,10 @@ subsets a separated family.
 A family of convex sets is separated when, within every (d+1)-tuple,
 each group of j <= d members can be strictly separated from the rest by
 a hyperplane.  Strict separability is decided by an exact rational LP
-(with an axis-aligned shortcut and a convex-hull reduction in front of
-it, neither of which changes any answer); equivalently -- and this is
-the cross-validation used in the tests -- a (d+1)-tuple is separated
-exactly when no hyperplane meets all d+1 closed hulls.
+with one row per point (in the plane, per hull vertex: the hull
+reduction changes no answer); equivalently -- and this is the
+cross-validation used in the tests -- a (d+1)-tuple is separated exactly
+when no hyperplane meets all d+1 closed hulls.
 """
 
 from __future__ import annotations
@@ -50,31 +50,17 @@ class SeparationWitness:
     split: tuple[int, ...]
 
 
-def _axis_separator(a_pts, b_pts) -> Hyperplane | None:
-    d = len(a_pts[0])
-    for axis in range(d):
-        a_lo = min(p[axis] for p in a_pts)
-        a_hi = max(p[axis] for p in a_pts)
-        b_lo = min(p[axis] for p in b_pts)
-        b_hi = max(p[axis] for p in b_pts)
-        normal = tuple(
-            Fraction(1 if j == axis else 0) for j in range(d)
-        )
-        if a_hi < b_lo:
-            return Hyperplane(normal, (a_hi + b_lo) / 2)
-        if b_hi < a_lo:
-            return Hyperplane(tuple(-v for v in normal), -(b_hi + a_lo) / 2)
-    return None
-
-
 def strictly_separating_hyperplane(
     a_pts: Sequence[Point], b_pts: Sequence[Point]
 ) -> Hyperplane | None:
     """Hyperplane with normal.a < offset < normal.b for all a, b.
 
     None exactly when the convex hulls intersect or touch.  Decided by
-    maximizing the separation margin delta subject to a box
-    normalization of the normal; delta > 0 iff strict separation exists.
+    maximizing a margin delta <= 1 subject to w.a - c + delta <= 0 and
+    c - w.b + delta <= 0; delta > 0 iff strict separation exists.  Strict
+    separation is unchanged by scaling (w, c), so a separable pair scales
+    its separator up to delta = 1 and any other pair stays at delta = 0:
+    delta <= 1 alone bounds the LP, and the origin is feasible.
     """
     a_pts = [point(p) for p in a_pts]
     b_pts = [point(p) for p in b_pts]
@@ -83,54 +69,20 @@ def strictly_separating_hyperplane(
     d = len(a_pts[0])
     if any(len(p) != d for p in a_pts + b_pts):
         raise InputError("mixed dimensions in separation input")
-    quick = _axis_separator(a_pts, b_pts)
-    if quick is not None:
-        return quick
     if d == 2:
         a_pts = convex_hull_2d(a_pts)
         b_pts = convex_hull_2d(b_pts)
     # Variables (w_1..w_d, c, delta); maximize delta.
-    n_vars = d + 2
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for p in a_pts:  # w.p - c + delta <= 0
-        a_ub.append(list(p) + [Fraction(-1), Fraction(1)])
-        b_ub.append(Fraction(0))
-    for p in b_pts:  # -w.p + c + delta <= 0
-        a_ub.append([-x for x in p] + [Fraction(1), Fraction(1)])
-        b_ub.append(Fraction(0))
-    max_abs = max(
-        (abs(x) for p in a_pts + b_pts for x in p), default=Fraction(0)
-    )
-    bound_c = 1 + d * max_abs
-    for j in range(d):  # |w_j| <= 1
-        row = [Fraction(0)] * n_vars
-        row[j] = Fraction(1)
-        a_ub.append(row[:])
-        b_ub.append(Fraction(1))
-        row[j] = Fraction(-1)
-        a_ub.append(row)
-        b_ub.append(Fraction(1))
-    row = [Fraction(0)] * n_vars
-    row[d] = Fraction(1)
-    a_ub.append(row[:])
-    b_ub.append(bound_c)
-    row[d] = Fraction(-1)
-    a_ub.append(row)
-    b_ub.append(bound_c)
-    row = [Fraction(0)] * n_vars
-    row[d + 1] = Fraction(1)
-    a_ub.append(row)
-    b_ub.append(Fraction(1))
-    objective = [Fraction(0)] * (d + 1) + [Fraction(1)]
-    result = solve_lp_max(objective, a_ub, b_ub)
+    a_ub = [list(p) + [-1, 1] for p in a_pts]  # w.a - c + delta <= 0
+    a_ub += [[-x for x in p] + [1, 1] for p in b_pts]  # c - w.b + delta <= 0
+    a_ub.append([0] * (d + 1) + [1])  # delta <= 1
+    b_ub = [0] * (len(a_ub) - 1) + [1]
+    result = solve_lp_max([0] * (d + 1) + [1], a_ub, b_ub)
     if result.status != OPTIMAL:
         raise AssertionError(f"separation LP returned {result.status}")
     if result.value <= 0:
         return None
-    w = tuple(result.x[:d])
-    c = result.x[d]
-    return Hyperplane(w, c)
+    return Hyperplane(tuple(result.x[:d]), result.x[d])
 
 
 def _canonical_splits(tuple_indices: tuple[int, ...], d: int):
@@ -142,15 +94,23 @@ def _canonical_splits(tuple_indices: tuple[int, ...], d: int):
             yield (first,) + extra
 
 
+def _split_fails(
+    pts: list[list[Point]], combo: tuple[int, ...], group: tuple[int, ...]
+) -> bool:
+    """No hyperplane strictly separates the bodies of `group` from the
+    rest of the tuple `combo`."""
+    g_pts = [p for i in group for p in pts[i]]
+    h_pts = [p for i in combo if i not in group for p in pts[i]]
+    return strictly_separating_hyperplane(g_pts, h_pts) is None
+
+
 def _failing_splits(pts: list[list[Point]], d: int):
     """Every (tuple, split) of the bodies `pts` whose split group cannot
     be strictly separated from the rest of its (d+1)-tuple: tuples in
     lexicographic order, splits in `_canonical_splits` order."""
     for combo in itertools.combinations(range(len(pts)), d + 1):
         for group in _canonical_splits(combo, d):
-            g_pts = [p for i in group for p in pts[i]]
-            h_pts = [p for i in combo if i not in group for p in pts[i]]
-            if strictly_separating_hyperplane(g_pts, h_pts) is None:
+            if _split_fails(pts, combo, group):
                 yield combo, group
 
 
@@ -360,7 +320,7 @@ def trim_to_separated(
 ) -> tuple[list[tuple[Point, ...]], TrimTrace]:
     """Discard points until {O} and the hulls of the sets are separated.
 
-    Each step finds the first failing (tuple, split) of the d+2 bodies,
+    Each step takes the first failing (tuple, split) of the d+2 bodies,
     cuts with a ham-sandwich line -- anchored at O when the tuple
     involves {O}, else bisecting the two non-designated sets -- orients
     the cut so the designated set keeps at least half of its points, and
@@ -368,6 +328,12 @@ def trim_to_separated(
     points below.  O is on the anchored lines and is never discarded.
     O must be unambiguous (`is_unambiguous`, the sets as classes): it
     may be collinear with two points of one set, not of two sets.
+
+    The failing splits are found once, for the input.  A cut only
+    removes points, so hulls shrink and a separated split stays
+    separated: each step re-tests only the splits that failed before it,
+    and those still failing, in their order, are the cut family's.
+    Between two admissible cuts the one leaving fewer wins.
 
     Errors (with the partial trace attached) when a set would empty,
     when a step makes no progress, or when max_steps cuts leave the
@@ -385,6 +351,8 @@ def trim_to_separated(
         raise InputError(
             "O is collinear with two points of different input sets"
         )
+    if len(sets) < 2:
+        raise InputError(f"need at least d+1 = 3 bodies, got {len(sets) + 1}")
     current = [list(range(len(pts))) for pts in sets]
     steps: list[TrimStep] = []
 
@@ -408,16 +376,15 @@ def trim_to_separated(
             discarded.append(drop)
         return kept, discarded
 
-    # One separation check per step, and one after the last allowed cut.
+    failing = list(_failing_splits(bodies(current), 2))
     for step in range(max_steps + 1):
         pts = bodies(current)
-        witness = is_separated_family(pts)
-        if witness is None:
+        if not failing:
             trace = TrimTrace(tuple(steps), tuple(map(len, current)))
             return [tuple(body) for body in pts[1:]], trace
         if step == max_steps:
             break
-        combo, group = witness.tuple_indices, witness.split
+        combo, group = failing[0]
         rest = tuple(i for i in combo if i not in group)
         # (bisected body, designated body, cut).  With {O} in the tuple
         # the line through O bisects either real body and the other is
@@ -444,12 +411,10 @@ def trim_to_separated(
             any_progress = True
             if not all(kept):
                 continue
-            # Between two cuts, prefer the one leaving fewer failing splits.
-            viol = 0
-            if len(cuts) > 1:
-                viol = sum(1 for _ in _failing_splits(bodies(kept), 2))
-            if best is None or (viol, c_body) < best[0]:
-                best = ((viol, c_body), h, kept, discarded)
+            kept_pts = bodies(kept)
+            still = [f for f in failing if _split_fails(kept_pts, *f)]
+            if best is None or (len(still), c_body) < best[0]:
+                best = ((len(still), c_body), h, kept, discarded, still)
         if best is None:
             trace = TrimTrace(tuple(steps), tuple(map(len, current)))
             if any_progress:
@@ -461,7 +426,7 @@ def trim_to_separated(
                 "trim stalled: no cut discards anything for the failing split",
                 trace=trace,
             )
-        _, h, current, discarded = best
+        _, h, current, discarded, failing = best
         steps.append(
             TrimStep(
                 tuple_indices=combo,

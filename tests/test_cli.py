@@ -453,6 +453,17 @@ def test_separate_max_steps(tmp_path, capsys, max_steps, expected):
     assert trace.to_json_dict() == out["trace"]
 
 
+def test_separate_one_set_exit_2(tmp_path, capsys):
+    # {O} and one set are two bodies; a separated family needs d + 1 = 3
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"o": ["3", "3"], "sets": [[["0", "0"], ["1", "0"]]]}))
+    assert run_cli("separate", "--input", str(path)) == EXIT_INPUT
+    assert _one_json_error(capsys) == {
+        "error": "input",
+        "message": "need at least d+1 = 3 bodies, got 2",
+    }
+
+
 def test_run_paper_epsilon(cfg_path, tmp_path):
     report = tmp_path / "report.json"
     assert (

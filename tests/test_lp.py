@@ -240,7 +240,7 @@ def test_one_phase_matches_two_phase(lp):
     )
 )
 @example(([(0, 0), (2, 0), (0, 2)], [(1, 1), (3, 1), (1, 3)]))  # touching
-@example(([(0, 0), (2, 2)], [(2, 0), (4, 2)]))  # parallel, not axis-separable
+@example(([(0, 0), (2, 2)], [(2, 0), (4, 2)]))  # parallel segments
 @example(([(0, 0, 0), (2, 1, 0)], [(1, 0, 1), (1, 1, -1), (3, 3, 3)]))
 def test_separation_lps_match_two_phase(sets):
     """Every LP that `strictly_separating_hyperplane` builds, on random

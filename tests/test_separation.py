@@ -31,11 +31,13 @@ from rainbowdepth.geometry import (
     is_unambiguous,
     point_in_simplex_interior,
 )
+from rainbowdepth.lp import OPTIMAL, solve_lp_max
 from rainbowdepth.separation import (
     DEFAULT_MAX_STEPS,
     TrimStep,
     TrimTrace,
     _canonical_splits,
+    _failing_splits,
     _line_meets_hull,
     _line_sort_key,
     _oriented_for_designated,
@@ -129,6 +131,12 @@ def test_separated_family_interleaved_segments():
 def test_separated_family_needs_enough_bodies():
     with pytest.raises(InputError):
         is_separated_family([[point(0, 0)], [point(1, 0)]])
+
+
+def test_trim_needs_enough_bodies():
+    """{O} and one set are two bodies, fewer than d + 1 = 3."""
+    with pytest.raises(InputError, match="need at least d\\+1 = 3 bodies, got 2"):
+        trim_to_separated([[point(0, 0), point(1, 0)]], point(3, 3))
 
 
 def test_transversal_examples():
@@ -441,7 +449,85 @@ def test_complete_box_is_separated(seed, n, distribution, deepest, weights):
 # shared one failing-split walk: the trim below is the former one
 # verbatim, with a second copy of the walk in `violation_count` and its
 # own normalisation of lines.  Only the calls between the copies are
-# renamed, and the witness is a plain tuple.
+# renamed, and the witness is a plain tuple.  Every split is decided by
+# the former separator: an axis-aligned shortcut, then the planar hull
+# reduction, then an LP whose normal and offset sit in a box.
+
+
+def _reference_axis_separator(a_pts, b_pts):
+    d = len(a_pts[0])
+    for axis in range(d):
+        a_lo = min(p[axis] for p in a_pts)
+        a_hi = max(p[axis] for p in a_pts)
+        b_lo = min(p[axis] for p in b_pts)
+        b_hi = max(p[axis] for p in b_pts)
+        normal = tuple(
+            Fraction(1 if j == axis else 0) for j in range(d)
+        )
+        if a_hi < b_lo:
+            return Hyperplane(normal, (a_hi + b_lo) / 2)
+        if b_hi < a_lo:
+            return Hyperplane(tuple(-v for v in normal), -(b_hi + a_lo) / 2)
+    return None
+
+
+def reference_strictly_separating_hyperplane(a_pts, b_pts):
+    a_pts = [point(p) for p in a_pts]
+    b_pts = [point(p) for p in b_pts]
+    if not a_pts or not b_pts:
+        raise InputError("both point sets must be nonempty")
+    d = len(a_pts[0])
+    if any(len(p) != d for p in a_pts + b_pts):
+        raise InputError("mixed dimensions in separation input")
+    quick = _reference_axis_separator(a_pts, b_pts)
+    if quick is not None:
+        return quick
+    if d == 2:
+        a_pts = convex_hull_2d(a_pts)
+        b_pts = convex_hull_2d(b_pts)
+    # Variables (w_1..w_d, c, delta); maximize delta.
+    n_vars = d + 2
+    a_ub = []
+    b_ub = []
+    for p in a_pts:  # w.p - c + delta <= 0
+        a_ub.append(list(p) + [Fraction(-1), Fraction(1)])
+        b_ub.append(Fraction(0))
+    for p in b_pts:  # -w.p + c + delta <= 0
+        a_ub.append([-x for x in p] + [Fraction(1), Fraction(1)])
+        b_ub.append(Fraction(0))
+    max_abs = max(
+        (abs(x) for p in a_pts + b_pts for x in p), default=Fraction(0)
+    )
+    bound_c = 1 + d * max_abs
+    for j in range(d):  # |w_j| <= 1
+        row = [Fraction(0)] * n_vars
+        row[j] = Fraction(1)
+        a_ub.append(row[:])
+        b_ub.append(Fraction(1))
+        row[j] = Fraction(-1)
+        a_ub.append(row)
+        b_ub.append(Fraction(1))
+    row = [Fraction(0)] * n_vars
+    row[d] = Fraction(1)
+    a_ub.append(row[:])
+    b_ub.append(bound_c)
+    row[d] = Fraction(-1)
+    a_ub.append(row)
+    b_ub.append(bound_c)
+    row = [Fraction(0)] * n_vars
+    row[d + 1] = Fraction(1)
+    a_ub.append(row)
+    b_ub.append(Fraction(1))
+    objective = [Fraction(0)] * (d + 1) + [Fraction(1)]
+    result = solve_lp_max(objective, a_ub, b_ub)
+    if result.status != OPTIMAL:
+        raise AssertionError(f"separation LP returned {result.status}")
+    if result.value <= 0:
+        return None
+    w = tuple(result.x[:d])
+    c = result.x[d]
+    return Hyperplane(w, c)
+
 
 RefWitness = collections.namedtuple("RefWitness", "tuple_indices split hyperplane")
 
@@ -458,7 +544,7 @@ def reference_is_separated_family(bodies):
             rest = tuple(i for i in combo if i not in group)
             g_pts = [p for i in group for p in pts[i]]
             h_pts = [p for i in rest for p in pts[i]]
-            if strictly_separating_hyperplane(g_pts, h_pts) is None:
+            if reference_strictly_separating_hyperplane(g_pts, h_pts) is None:
                 return RefWitness(combo, group, None)
     return None
 
@@ -572,7 +658,7 @@ def reference_trim_to_separated(point_sets, o_point, max_steps=DEFAULT_MAX_STEPS
                 rest = tuple(i for i in combo if i not in group)
                 g_pts = [p for i in group for p in pts[i]]
                 h_pts = [p for i in rest for p in pts[i]]
-                if strictly_separating_hyperplane(g_pts, h_pts) is None:
+                if reference_strictly_separating_hyperplane(g_pts, h_pts) is None:
                     count += 1
         return count
 
@@ -756,3 +842,84 @@ def test_separation_matches_reference(case):
     assert ham_sandwich_cut(sets[:1], anchor=o_point) == reference_ham_sandwich_cut(
         sets[:1], anchor=o_point
     )
+
+
+def _grid_points(d, max_size):
+    coordinate = st.one_of(
+        st.integers(-3, 3).map(Fraction), st.fractions(-3, 3, max_denominator=2)
+    )
+    return st.lists(st.tuples(*[coordinate] * d), min_size=1, max_size=max_size)
+
+
+@st.composite
+def separation_pairs(draw):
+    """Two planar or 3-D sets of 1-8 points on a coarse grid, so that
+    single points, segments, repeats and touching hulls are common;
+    sometimes a point of the first set is put into the second, or every
+    point is moved onto one line."""
+    d = draw(st.sampled_from([2, 3]))
+    a, b = draw(_grid_points(d, 8)), draw(_grid_points(d, 8))
+    shape = draw(st.sampled_from(["grid", "shared", "collinear"]))
+    if shape == "shared":
+        b[draw(st.integers(0, len(b) - 1))] = draw(st.sampled_from(a))
+    elif shape == "collinear":
+        base = draw(st.tuples(*[st.integers(-2, 2)] * d))
+        step = draw(st.tuples(*[st.integers(-2, 2)] * d))
+        a, b = (
+            [tuple(o + p[0] * v for o, v in zip(base, step)) for p in pts]
+            for pts in (a, b)
+        )
+    event(f"d={d}, {shape}")
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(separation_pairs())
+@example(([(0, 0), (2, 0), (0, 2)], [(1, 1), (3, 1), (1, 3)]))  # touching
+@example(([(0, 0), (2, 2)], [(2, 0), (4, 2)]))  # parallel segments
+@example(([(0, 0), (2, 2)], [(0, 2), (2, 0)]))  # crossing segments
+@example(([(0, 0), (2, 0)], [(1, 0)]))  # a point on a segment
+@example(([(0, 0), (1, 0)], [(2, 0), (3, 0)]))  # collinear, disjoint
+@example(([(0, 0), (1, 0)], [(1, 0), (3, 0)]))  # collinear, one shared end
+@example(([(0, 0), (1, 1)], [(1, 1), (2, 0)]))  # a shared point
+@example(([(1, 2)], [(1, 2)]))  # one point twice
+@example(([(0, 0)], [(1, 2)]))  # two points
+@example(([(0, 0, 0), (2, 0, 0), (0, 2, 0)], [(1, 1, 0), (1, 1, 1)]))
+@example(([(0, 0, 0), (2, 1, 0)], [(1, 0, 1), (1, 1, -1), (3, 3, 3)]))
+def test_separator_matches_reference(pair):
+    """The point-row LP decides strict separation as the former
+    separator (axis shortcut, hull reduction, box-normalized LP) does,
+    and every hyperplane it returns strictly separates."""
+    a_pts, b_pts = ([point(p) for p in pts] for pts in pair)
+    h = strictly_separating_hyperplane(a_pts, b_pts)
+    reference = reference_strictly_separating_hyperplane(a_pts, b_pts)
+    assert (h is None) == (reference is None)
+    event("separable" if h is not None else "not separable")
+    if h is not None:
+        assert_strictly_separates(h, a_pts, b_pts)
+
+
+@st.composite
+def families_and_subfamilies(draw):
+    """A planar family of a single point and three sets of 1-5 grid
+    points, and a nonempty sub-body of each of its four bodies."""
+    sets = st.lists(_point, min_size=1, max_size=5)
+    full = [[draw(_point)]] + [draw(sets) for _ in range(3)]
+    sub = []
+    for body in full:
+        idx = draw(st.sets(st.integers(0, len(body) - 1), min_size=1))
+        sub.append([body[j] for j in sorted(idx)])
+    return full, sub
+
+
+@settings(max_examples=100, deadline=None)
+@given(families_and_subfamilies())
+def test_failing_splits_of_a_subfamily_are_a_subsequence(case):
+    """Removing points only shrinks hulls, so a separated split stays
+    separated: the failing splits of the sub-bodies are among the full
+    family's, in the same order.  The trim re-tests only those."""
+    full, sub = case
+    full_failing = iter(list(_failing_splits(full, 2)))
+    sub_failing = list(_failing_splits(sub, 2))
+    event(f"{len(sub_failing)} failing after the cut")
+    assert all(f in full_failing for f in sub_failing)
