@@ -11,6 +11,7 @@ parse them.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -103,7 +104,12 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `rainbowdepth` argument parser, built once per process: every
+    default is immutable and parsing leaves the parser unchanged, so
+    repeated `cli_main` calls share it instead of paying about a
+    millisecond each to rebuild it."""
     parser = _Parser(
         prog="rainbowdepth",
         description=(

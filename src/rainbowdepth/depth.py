@@ -12,12 +12,13 @@ the open half-turn counter-clockwise from v, so
 depth = n^3 - sum over v of c_a(v)*c_b(v).  Each term depends only on
 the sector of v's fan of 4n directions +-(q - v), q of the other two
 colors, that holds p - v; the fans and their per-sector products are
-built once per configuration (`_fans`), and a candidate costs one
-`bisect` per configuration point (`_depth_fan`), stopping as soon as it
-cannot reach the best depth so far.  The containing tuples themselves,
-needed only at the final point, come from an n^3 scan of the pair sign
-table; the pipeline compares the two counts on every run.  In higher
-dimension every rainbow simplex is tested directly.
+built once per configuration, in O(N * n log n) for N = 3n points: one
+sort and one rotating count per vertex (`_fans`).  A candidate costs
+one `bisect` per configuration point (`_depth_fan`), stopping as soon
+as it cannot reach the best depth so far.  The containing tuples
+themselves, needed only at the final point, come from an n^3 scan of
+the pair sign table; the pipeline compares the two counts on every
+run.  In higher dimension every rainbow simplex is tested directly.
 
 `deepest_point` realizes, by search, the existence of a point
 contained in many rainbow simplices; the fractional-Helly machinery
@@ -208,9 +209,15 @@ def _fans(cfg: ColoredConfiguration) -> Fans:
     4n such directions (pairwise distinct, by general position) cut the
     turn around v into sectors of constant c_a(v)*c_b(v).  Each fan
     holds the directions in counter-clockwise order with their
-    `_turn_key`, and per sector, between dirs[i] and dirs[i+1]
-    (cyclically), the product, counted at the direction dirs[i] +
-    dirs[i+1] strictly inside it.
+    `_turn_key`, and `products`, indexed by bisect position: products[i]
+    is the product of the sector just before dirs[i], and products[4n],
+    the sector after the last direction, is products[0] again (4n + 1
+    entries).
+
+    The counts are taken directly once, at the direction dirs[-1] +
+    dirs[0] strictly inside the wrap sector, and then rotated: turning
+    counter-clockwise past +(q - v) adds q to its color's count, past
+    -(q - v) removes it.  So a fan costs O(n log n), not O(n^2).
     """
     pts, n = cfg.int_points, cfg.n
     big = max(
@@ -219,23 +226,26 @@ def _fans(cfg: ColoredConfiguration) -> Fans:
     k, h = big * big, big**3 + 2
     vertices = []
     for (vx, vy), c in zip(pts, cfg.point_colors):
-        rel_a, rel_b = (
-            [(qx - vx, qy - vy) for qx, qy in pts[j * n : (j + 1) * n]]
-            for j in _OTHER_COLORS[c]
-        )
-        keyed = sorted(
-            (_turn_key(x, y, k, h), (x, y))
-            for rx, ry in rel_a + rel_b
-            for x, y in ((rx, ry), (-rx, -ry))
-        )
-        keys = [key for key, _ in keyed]
-        dirs = [d for _, d in keyed]
-        products = []
-        for (ux, uy), (wx, wy) in zip(dirs, dirs[1:] + dirs[:1]):
-            sx, sy = ux + wx, uy + wy
-            ca = sum(1 for x, y in rel_a if x * sy - y * sx > 0)
-            cb = sum(1 for x, y in rel_b if x * sy - y * sx > 0)
-            products.append(ca * cb)
+        # (key, direction, color side, count step) per signed direction
+        signed = []
+        for side, j in enumerate(_OTHER_COLORS[c]):
+            for qx, qy in pts[j * n : (j + 1) * n]:
+                x, y = qx - vx, qy - vy
+                signed.append((_turn_key(x, y, k, h), (x, y), side, 1))
+                signed.append((_turn_key(-x, -y, k, h), (-x, -y), side, -1))
+        signed.sort()
+        keys = [key for key, _, _, _ in signed]
+        dirs = [u for _, u, _, _ in signed]
+        sx = dirs[-1][0] + dirs[0][0]
+        sy = dirs[-1][1] + dirs[0][1]
+        counts = [0, 0]
+        for _, (x, y), side, step in signed:
+            if step > 0 and x * sy - y * sx > 0:
+                counts[side] += 1
+        products = [counts[0] * counts[1]]
+        for _, _, side, step in signed:
+            counts[side] += step
+            products.append(counts[0] * counts[1])
         vertices.append((vx, vy, keys, dirs, products))
     return k, h, vertices
 
@@ -244,7 +254,9 @@ def _depth_fan(fans: Fans, n3: int, den: int, num, limit: int) -> int | None:
     """Planar rainbow depth n3 - outside of p = num/den in the integer
     frame (den > 0, not necessarily in lowest terms), where outside sums,
     per configuration point v, the product of the sector of v's fan that
-    holds p - v (see `_fans`): one `bisect` per vertex.
+    holds p - v (see `_fans`): one `bisect` per vertex, on the
+    `_turn_key` of p - v computed inline, then products[pos] read at the
+    bisect position.
 
     None when p is ambiguous, under the rule of `pair_sign_table`: p is a
     configuration point, or lies on a line through two points of
@@ -253,14 +265,24 @@ def _depth_fan(fans: Fans, n3: int, den: int, num, limit: int) -> int | None:
     `limit`: the depth is returned exactly when n3 - depth <= limit.
     """
     k, h, vertices = fans
+    h2, h4, h6 = 2 * h, 4 * h, 6 * h
     px, py = num
     outside = 0
     for vx, vy, keys, dirs, products in vertices:
         x = px - den * vx
         y = py - den * vy
-        if not y and not x:
+        # `_turn_key(x, y, k, h)`, inlined: this loop is the hot path.
+        if y:
+            cot = (-x * k) // y
+            if cot <= -h:
+                cot = 1 - h
+            elif cot >= h:
+                cot = h - 1
+            key = (h2 if y > 0 else h6) + cot
+        elif x:
+            key = 0 if x > 0 else h4
+        else:
             return None  # p is a configuration point
-        key = _turn_key(x, y, k, h)
         pos = bisect_right(keys, key)
         if pos and keys[pos - 1] == key:
             # Same floor as the fan direction below: the cross decides.
@@ -270,7 +292,7 @@ def _depth_fan(fans: Fans, n3: int, den: int, num, limit: int) -> int | None:
                 return None  # p - v runs along a bichromatic line
             if cross < 0:
                 pos -= 1
-        outside += products[pos - 1]
+        outside += products[pos]
         if outside > limit:
             return None
     return n3 - outside
@@ -380,17 +402,17 @@ def _sampling_candidates(
     n = cfg.n
     total = n ** (d + 1)
     rng = random.Random(f"deepest:{seed}")
+    pts = cfg.int_points
+    classes = [pts[i * n : (i + 1) * n] for i in range(d + 1)]
     if total <= centroid_budget:
-        index_tuples = itertools.product(range(n), repeat=d + 1)
+        vertex_tuples = itertools.product(*classes)
     else:
-        index_tuples = (
-            tuple(rng.randrange(n) for _ in range(d + 1))
+        vertex_tuples = (
+            tuple(cls[rng.randrange(n)] for cls in classes)
             for _ in range(centroid_budget)
         )
-    pts = cfg.int_points
-    for idx in index_tuples:
-        verts = [pts[i * n + idx[i]] for i in range(d + 1)]
-        yield d + 1, tuple(sum(v[j] for v in verts) for j in range(d))
+    for verts in vertex_tuples:
+        yield d + 1, tuple(map(sum, zip(*verts)))
     lo = [min(p[j] for p in pts) for j in range(d)]
     hi = [max(p[j] for p in pts) for j in range(d)]
     den = 9973

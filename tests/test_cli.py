@@ -585,6 +585,24 @@ def test_help_still_prints_usage(capsys):
     assert capsys.readouterr().out.startswith("usage: rainbowdepth run")
 
 
+def test_one_parser_serves_every_call(cfg_path, tmp_path, capsys):
+    """One parser per process: a value parsed in one call is not the
+    default of the next, and a usage error after a good call is still
+    one JSON line."""
+    assert build_parser() is build_parser()
+    seeded, default = tmp_path / "seeded.json", tmp_path / "default.json"
+    argv = ["run", "--input", str(cfg_path), "--output"]
+    assert run_cli(*argv, str(seeded), "--seed", "5") == EXIT_OK
+    assert run_cli(*argv, str(default)) == EXIT_OK
+    assert json.loads(seeded.read_text())["params"]["seed"] == 5
+    assert json.loads(default.read_text())["params"]["seed"] == 0
+    capsys.readouterr()
+    assert run_cli("run", "--input", str(cfg_path), "--mode", "exact") == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == "input"
+
+
 # Every subcommand's options, in order; a new knob edits this on purpose.
 CLI_OPTIONS = {
     "gen": ["--seed", "--n", "--dim", "--distribution", "--format", "--output"],

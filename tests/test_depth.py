@@ -26,6 +26,7 @@ from rainbowdepth.depth import (
     _cell_points,
     _depth_fan,
     _fans,
+    _sampling_candidates,
     _turn_key,
     counting_inequality_diagnostic,
 )
@@ -391,20 +392,123 @@ def test_turn_key_orders_like_angles(vectors, stretch):
             assert long_key == kw if order == 0 else (long_key - kw) * order >= 0
 
 
+def fibonacci_config():
+    """Three points whose directions from the origin differ by about
+    1/F^2 in cotangent: consecutive Fibonacci vectors have determinant
+    +-1."""
+    a, b = 1, 1
+    for _ in range(25):
+        a, b = b, a + b
+    return configuration(2, [[point(0, 0)], [point(a, b - a)], [point(b, a)]])
+
+
 def test_fan_keys_separate_near_parallel_directions():
     """Consecutive Fibonacci vectors have determinant +-1, so from the
     origin their directions differ by about 1/F^2 in cotangent: the fan
     keys must still increase strictly, and a point in the thin wedge
     between them must count."""
-    a, b = 1, 1
-    for _ in range(25):
-        a, b = b, a + b
-    q1, q2 = (a, b - a), (b, a)  # det(q1, q2) = a*a - b*(b - a) = +-1
-    cfg = configuration(2, [[point(0, 0)], [point(*q1)], [point(*q2)]])
+    cfg = fibonacci_config()
     for _, _, keys, _, _ in _fans(cfg)[2]:
         assert all(u < w for u, w in zip(keys, keys[1:]))
-    centroid = tuple(Fraction(s, 3) for s in map(sum, zip(q1, q2)))
+    centroid = tuple(Fraction(s, 3) for s in map(sum, zip(*cfg.all_points())))
     assert len(assert_depth_matches_oracle(cfg, centroid)) == 1
+
+
+# --- direct-count fan oracle -------------------------------------------------
+# The former fan builder: every sector's color counts taken afresh, by 2n
+# cross products at a direction strictly inside it, O(n^2) per vertex; its
+# products[i] is the sector between dirs[i] and dirs[i + 1] (cyclically).
+
+
+def reference_fans(cfg):
+    pts, n = cfg.int_points, cfg.n
+    big = max(max(p[j] for p in pts) - min(p[j] for p in pts) for j in range(2))
+    k, h = big * big, big**3 + 2
+    vertices = []
+    for (vx, vy), c in zip(pts, cfg.point_colors):
+        rel_a, rel_b = (
+            [(qx - vx, qy - vy) for qx, qy in pts[j * n : (j + 1) * n]]
+            for j in _OTHER_COLORS[c]
+        )
+        keyed = sorted(
+            (_turn_key(x, y, k, h), (x, y))
+            for rx, ry in rel_a + rel_b
+            for x, y in ((rx, ry), (-rx, -ry))
+        )
+        keys = [key for key, _ in keyed]
+        dirs = [d for _, d in keyed]
+        products = []
+        for (ux, uy), (wx, wy) in zip(dirs, dirs[1:] + dirs[:1]):
+            sx, sy = ux + wx, uy + wy
+            ca = sum(1 for x, y in rel_a if x * sy - y * sx > 0)
+            cb = sum(1 for x, y in rel_b if x * sy - y * sx > 0)
+            products.append(ca * cb)
+        vertices.append((vx, vy, keys, dirs, products))
+    return k, h, vertices
+
+
+def assert_fans_match_reference(cfg):
+    """Same resolution, vertices, keys and directions as the direct
+    count; products[pos], the sector just before dirs[pos], is the
+    reference's sector after dirs[pos - 1], at both wrap ends too."""
+    k, h, vertices = _fans(cfg)
+    ref_k, ref_h, ref_vertices = reference_fans(cfg)
+    assert (k, h) == (ref_k, ref_h)
+    assert len(vertices) == len(ref_vertices) == 3 * cfg.n
+    for got, ref in zip(vertices, ref_vertices):
+        assert got[:4] == ref[:4]
+        products, ref_products = got[4], ref[4]
+        assert len(products) == len(ref_products) + 1 == 4 * cfg.n + 1
+        for pos in range(4 * cfg.n + 1):
+            assert products[pos] == ref_products[pos - 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32), n=st.integers(1, 8), distribution=distributions)
+def test_fans_match_direct_count(seed, n, distribution):
+    assert_fans_match_reference(
+        generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    )
+
+
+@pytest.mark.parametrize("make", [fibonacci_config, hexagon_config])
+def test_fans_match_direct_count_fixed_cases(make):
+    assert_fans_match_reference(make())
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        hexagon_config,
+        *(
+            lambda dist=dist: generate(GeneratorSpec(seed=9, n=4, d=2, distribution=dist))
+            for dist in ("uniform-box", "gaussian", "moment-curve-perturbed")
+        ),
+    ],
+    ids=["hexagon", "uniform-box", "gaussian", "moment-curve-perturbed"],
+)
+def test_depth_fan_far_and_level_candidates(make):
+    """Candidates at v + (+-X, +-1) in the frame, X far beyond h/k, so
+    the inlined turn key of p - v clamps at both ends; and at
+    v + (+-X, 0), on the y = 0 branch.  Each agrees with the sweep and
+    brute force, with no early exit and with a limit just below the
+    depth."""
+    cfg = make()
+    fans = _fans(cfg)
+    k, h, _ = fans
+    far = 3 * (h // k + 1)
+    assert far * k >= h  # (-far * k) // 1 <= -h: both clamps fire
+    n3 = cfg.n**3
+    for (vx, vy), den in itertools.product(cfg.int_points, (1, 7)):
+        for dx, dy in itertools.product((far, -far), (1, -1, 0)):
+            num = (den * vx + dx, den * vy + dy)
+            expected = brute_force_depth(cfg, cfg.unframe(den, num))
+            count = None if expected is None else len(expected)
+            assert depth_sweep(cfg, den, num) == count
+            assert _depth_fan(fans, n3, den, num, n3 + 1) == count
+            if count is not None:
+                assert _depth_fan(fans, n3, den, num, n3 - count) == count
+                assert _depth_fan(fans, n3, den, num, n3 - count - 1) is None
 
 
 def test_planar_depth_fixed_cases():
@@ -604,3 +708,50 @@ def test_candidate_sampling_matches_fraction_oracle_d3():
     cfg = generate(GeneratorSpec(seed=4, n=2, d=3))
     assert_sampling_matches_oracle(cfg, 4, 20000, 50)
     assert_sampling_matches_oracle(cfg, 4, 7, 1)
+
+
+# --- integer candidate stream oracle -------------------------------------------
+# The former integer candidate generator, with centroid sums per coordinate
+# over index tuples: the stream, and so `candidates_examined` and the d >= 3
+# path, must not change.
+
+
+def reference_sampling_candidates(cfg, seed, centroid_budget, random_budget):
+    d = cfg.dimension
+    n = cfg.n
+    total = n ** (d + 1)
+    rng = random.Random(f"deepest:{seed}")
+    if total <= centroid_budget:
+        index_tuples = itertools.product(range(n), repeat=d + 1)
+    else:
+        index_tuples = (
+            tuple(rng.randrange(n) for _ in range(d + 1))
+            for _ in range(centroid_budget)
+        )
+    pts = cfg.int_points
+    for idx in index_tuples:
+        verts = [pts[i * n + idx[i]] for i in range(d + 1)]
+        yield d + 1, tuple(sum(v[j] for v in verts) for j in range(d))
+    lo = [min(p[j] for p in pts) for j in range(d)]
+    hi = [max(p[j] for p in pts) for j in range(d)]
+    den = 9973
+    for _ in range(random_budget):
+        yield den, tuple(
+            den * lo[j] + (hi[j] - lo[j]) * rng.randrange(den + 1)
+            for j in range(d)
+        )
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (2, 4), (3, 2), (3, 3)])
+def test_sampling_candidates_match_reference(d, n):
+    """The same stream for centroid budgets below n^(d+1) (centroids
+    drawn at random, then random points from the same generator) and at
+    or above it (every centroid)."""
+    cfg = generate(GeneratorSpec(seed=11, n=n, d=d))
+    total = n ** (d + 1)
+    for seed, centroid_budget in itertools.product(
+        (0, 5), (0, total // 2, total - 1, total, total + 1)
+    ):
+        got = list(_sampling_candidates(cfg, seed, centroid_budget, 30))
+        assert got == list(reference_sampling_candidates(cfg, seed, centroid_budget, 30))
+        assert len(got) == (total if total <= centroid_budget else centroid_budget) + 30
