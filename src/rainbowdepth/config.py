@@ -106,6 +106,16 @@ class ColoredConfiguration:
         return [p for cls in self.colors for p in cls]
 
     def validate(self) -> "ColoredConfiguration":
+        """Raise ValidationError unless the classes are d+1 nonempty
+        classes of one size, of points of dimension d, pairwise distinct
+        and in general position; return self.
+
+        Duplicates are found on the integer frame: scaling by `scale` is
+        injective, so two points are equal exactly when their
+        `int_points` are, and the first repeat in class order is the same
+        one.  In the plane general position is `first_collinear_triple`
+        on the frame too; else `general_position_check`.
+        """
         d = self.dimension
         if d < 1:
             raise ValidationError("dimension must be >= 1")
@@ -124,7 +134,8 @@ class ColoredConfiguration:
                 f"size mismatch: classes have sizes {sizes}",
                 witness={"sizes": sizes},
             )
-        seen: dict[Point, tuple[int, int]] = {}
+        frame = iter(self.int_points)  # in the order of the loop below
+        seen: dict[tuple[int, ...], tuple[int, int]] = {}
         for ci, cls in enumerate(self.colors):
             for pi, p in enumerate(cls):
                 if len(p) != d:
@@ -133,16 +144,17 @@ class ColoredConfiguration:
                         "configuration",
                         witness={"color": ci, "index": pi},
                     )
-                if p in seen:
+                key = next(frame)
+                if key in seen:
                     raise ValidationError(
                         "duplicate point across the union",
                         witness={
-                            "first": seen[p],
+                            "first": seen[key],
                             "second": (ci, pi),
                             "point": [format_rational(c) for c in p],
                         },
                     )
-                seen[p] = (ci, pi)
+                seen[key] = (ci, pi)
         if d == 2:
             violation = first_collinear_triple(self.int_points)
         else:

@@ -74,7 +74,8 @@ def rational(value) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
     try:
         if value.denominator == 1:
             return str(value.numerator)
@@ -280,18 +281,24 @@ def first_collinear_triple(ipts: Sequence[tuple[int, int]]):
     For each i, j and k are collinear with i exactly when the directions
     from i to them agree up to sign, or when either coincides with i.
     """
+    gcd = math.gcd
     m = len(ipts)
     for i in range(m - 2):
         xi, yi = ipts[i]
         first: dict[tuple[int, int], int] = {}
         best = None
         for j in range(i + 1, m):
-            direction = primitive_direction(ipts[j][0] - xi, ipts[j][1] - yi)
-            if direction == (0, 0):
+            x, y = ipts[j]
+            dx, dy = x - xi, y - yi
+            g = gcd(dx, dy)
+            if not g:
                 # q_j = q_i: every pair containing j is collinear with i.
                 pair = (i + 1, i + 2) if j == i + 1 else (i + 1, j)
                 return (i,) + min(pair, best or pair)
-            earlier = first.setdefault(direction, j)
+            if dx < 0 or (not dx and dy < 0):
+                g = -g
+            # the primitive direction, up to sign (`primitive_direction`)
+            earlier = first.setdefault((dx // g, dy // g), j)
             if earlier != j and (best is None or (earlier, j) < best):
                 best = (earlier, j)
         if best is not None:
@@ -300,17 +307,18 @@ def first_collinear_triple(ipts: Sequence[tuple[int, int]]):
 
 
 def integer_scaled(points: Iterable[Point]) -> tuple[list[tuple[int, ...]], int]:
-    """Scale rational points by the lcm of all denominators.
+    """Scale rational points by the lcm of all denominators: each
+    coordinate c maps to the integer c.numerator * (scale // c.denominator),
+    with no Fraction arithmetic.
 
     Sign predicates are invariant under the uniform positive scaling, and
     pure-integer cross products are much faster in hot loops.
     """
     pts = [point(p) for p in points]
-    scale = 1
-    for p in pts:
-        for c in p:
-            scale = scale * c.denominator // math.gcd(scale, c.denominator)
-    return [tuple(int(c * scale) for c in p) for p in pts], scale
+    scale = math.lcm(*(c.denominator for p in pts for c in p))
+    return [
+        tuple(c.numerator * (scale // c.denominator) for c in p) for p in pts
+    ], scale
 
 
 def pair_sign_table(

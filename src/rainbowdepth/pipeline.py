@@ -36,7 +36,6 @@ from .depth import (
     DEFAULT_CENTROID_BUDGET,
     DEFAULT_RANDOM_BUDGET,
     DEFAULT_STRATEGY,
-    contained_triangles,
     deepest_point,
     rainbow_depth_at,
     theoretical_constants,
@@ -168,11 +167,14 @@ def verify_certificate(
     color class i, with no point repeated.  In the plane the test runs
     in the configuration's integer frame, on one `pair_sign_table` of O
     against every configuration point, which also decides whether O is
-    ambiguous; else by `is_unambiguous` and `point_in_simplex_interior`.
+    ambiguous, and still tuple by tuple: three nested loops over the
+    Q_i in product order (`_first_miss_plane`).  Else by
+    `is_unambiguous` and `point_in_simplex_interior` on each tuple of
+    `itertools.product`.
 
     `report`, the loaded report these O and Q come from, is checked
     too once they verify (`check_report_numbers`); in the plane its
-    depth is counted from the same sign table.
+    depth is read off the row counts of the same sign table.
     """
     o_point = point(o_point)
     q_sets = [tuple(point(p) for p in q) for q in q_sets]
@@ -211,28 +213,51 @@ def verify_certificate(
             "configuration points"
         )
     if cfg.dimension == 2:
-        a_of, b_of, c_of = indices
-
-        def contains(choice) -> bool:
-            # With vectors taken from O, O lies strictly inside abc
-            # exactly when cross(a, b), cross(b, c) and cross(c, a) have
-            # one sign: they are the orientations of (O, b, c), (a, O, c)
-            # and (a, b, O), which sum to that of (a, b, c).  None is 0,
-            # as O is on no line through two differently colored points.
-            a, b, c = a_of[choice[0]], b_of[choice[1]], c_of[choice[2]]
-            return table[a][b] == table[b][c] == table[c][a]
+        choice = _first_miss_plane(table, indices)
     else:
-        def contains(choice):
-            verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
-            return point_in_simplex_interior(o_point, verts)
-    for choice in itertools.product(*[range(len(q)) for q in q_sets]):
-        if not contains(choice):
-            verts = [q_sets[i][choice[i]] for i in range(len(q_sets))]
-            return Counterexample(
-                tuple(choice), tuple(verts), "simplex does not contain O strictly"
-            )
+        choice = next(
+            (
+                choice
+                for choice in itertools.product(*[range(len(q)) for q in q_sets])
+                if not point_in_simplex_interior(
+                    o_point, [q[j] for q, j in zip(q_sets, choice)]
+                )
+            ),
+            None,
+        )
+    if choice is not None:
+        return Counterexample(
+            choice,
+            tuple(q[j] for q, j in zip(q_sets, choice)),
+            "simplex does not contain O strictly",
+        )
     if report is not None:
         check_report_numbers(cfg, report, o_point, q_sets, table)
+    return None
+
+
+def _first_miss_plane(
+    table: list[list[int]], indices
+) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in product order whose triangle on the frame
+    points indices[0][i], indices[1][j], indices[2][k] does not contain
+    O strictly, by `table`, the `pair_sign_table` of O; None if every
+    one does.
+
+    With vectors taken from O, O lies strictly inside abc exactly when
+    cross(a, b), cross(b, c) and cross(c, a) have one sign: they are the
+    orientations of (O, b, c), (a, O, c) and (a, b, O), which sum to that
+    of (a, b, c).  None is 0, as O is on no line through two differently
+    colored points.
+    """
+    a_of, b_of, c_of = indices
+    for i, a in enumerate(a_of):
+        row_a = table[a]
+        for j, b in enumerate(b_of):
+            s, row_b = row_a[b], table[b]
+            for k, c in enumerate(c_of):
+                if not s == row_b[c] == table[c][a]:
+                    return i, j, k
     return None
 
 
@@ -397,10 +422,9 @@ def load_report(source) -> dict:
     data = parse_json(source, "report JSON")
     if not isinstance(data, dict):
         raise InputError("report JSON must be an object")
-    if data.get("schema_version") != SCHEMA_VERSION:
-        raise InputError(
-            f"unsupported report schema_version {data.get('schema_version')!r}"
-        )
+    version = data.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise InputError(f"unsupported report schema_version {version!r}")
     return data
 
 
@@ -424,8 +448,23 @@ def check_report_numbers(
 ) -> None:
     """The report's own `sizes`, `ratios` and `depth`, where present,
     must match its Q and O: len(Q_i), len(Q_i)/n and the rainbow depth
-    of O, counted from `table`, the planar `pair_sign_table` of O, when
-    there is one.  Raises InputError on the first mismatch."""
+    of O.  Raises InputError on the first mismatch.
+
+    With `table`, the planar `pair_sign_table` of O, the depth is read
+    off its row counts in O(N*n): for frame point v let c_j(v) be the
+    number of +1 entries of table[v] over class j, for the two classes j
+    other than v's; then
+
+        depth = n^3 - sum_v c_j(v) * c_k(v).
+
+    Proof: table[v][q] is the sign of cross(v - O, q - O), never 0
+    between two colors.  A rainbow triangle misses O exactly when its
+    three directions from O lie in an open half-plane, and then only the
+    most clockwise of its vertices has both others at +1; a triangle
+    containing O gives every vertex one +1 and one -1.  So the sum
+    counts each missing triangle once.  Without a table,
+    `rainbow_depth_at` counts.
+    """
     sizes = [len(q) for q in q_sets]
     if "sizes" in data and not (
         isinstance(data["sizes"], list)
@@ -447,6 +486,10 @@ def check_report_numbers(
         if table is None:
             depth = rainbow_depth_at(cfg, o_point).count
         else:
-            depth = sum(1 for _ in contained_triangles(table, cfg.n))
+            n = cfg.n
+            depth = n**3
+            for v, row in enumerate(table):
+                j, k = [c * n for c in range(3) if c != v // n]
+                depth -= row[j : j + n].count(1) * row[k : k + n].count(1)
         if type(data["depth"]) is not int or data["depth"] != depth:
             raise InputError(f"report depth does not match O, expected {depth}")

@@ -539,6 +539,46 @@ def test_verify_report_o_and_q_errors(n6_run, tmp_path, capsys, edit, message):
     assert _one_json_error(capsys) == {"error": "input", "message": message}
 
 
+def _set_q_point(value):
+    def edit(data, cfg):
+        data["Q"][0][0] = value(data["Q"][0][0], cfg) if callable(value) else value
+    return edit
+
+
+MALFORMED_REPORTS = {
+    "q-point-3d": _set_q_point(lambda p, cfg: p + ["0"]),
+    "o-empty": lambda data, cfg: data.update(O=[]),
+    "q-a-number": lambda data, cfg: data.update(Q=5),
+    "point-a-string": _set_q_point("12"),
+    "point-an-object": _set_q_point({"3": 0}),
+    "ratio-1/0": lambda data, cfg: data.update(ratios=["1/0"] * 3),
+    "depth-1.5": lambda data, cfg: data.update(depth=1.5),
+    "depth-10^400": lambda data, cfg: data.update(depth=10**400),
+    "input-hash-5": lambda data, cfg: data.update(input_hash=5),
+    "o-1e5000": lambda data, cfg: data.update(O=["1e5000", "0"]),
+    "o-nan": lambda data, cfg: data.update(O=["nan", "0"]),
+    "o-inf": lambda data, cfg: data.update(O=["inf", "0"]),
+    "q0-point-of-class-1": _set_q_point(lambda p, cfg: cfg["colors"][1][0]),
+    "schema-version-true": lambda data, cfg: data.update(schema_version=True),
+    "schema-version-1.0": lambda data, cfg: data.update(schema_version=1.0),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED_REPORTS.values(), ids=MALFORMED_REPORTS)
+def test_verify_malformed_report_is_one_json_line(n6_run, tmp_path, capsys, edit):
+    cfg_path, genuine = n6_run
+    data = json.loads(json.dumps(genuine))
+    edit(data, json.loads(cfg_path.read_text()))
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(data))
+    rc = run_cli("verify", "--input", str(cfg_path), "--report", str(report))
+    assert rc in (EXIT_INPUT, EXIT_BUDGET)
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    error = json.loads(captured.err)
+    assert error["error"] == ("input" if rc == EXIT_INPUT else "budget")
+
+
 @pytest.mark.parametrize(
     "command, point, kind",
     [("check", "12", "str"), ("verify", "12", "str"), ("separate", {"3": 0, "4": 0}, "dict")],

@@ -24,7 +24,7 @@ from rainbowdepth import (
     save_configuration,
     verify_certificate,
 )
-from rainbowdepth.geometry import integer_scaled
+from rainbowdepth.geometry import format_rational, integer_scaled
 
 DATA = Path(__file__).parent / "data"
 
@@ -144,6 +144,67 @@ def test_construction_builds_one_frame(n, collinear, data):
         except InputError:
             pass  # O is ambiguous
     assert calls == []
+
+
+def first_duplicate_oracle(colors):
+    """The duplicate check as it was keyed on the Fraction points: the
+    message and witness of the first repeat in class order, or None."""
+    seen = {}
+    for ci, cls in enumerate(colors):
+        for pi, p in enumerate(cls):
+            if p in seen:
+                return "duplicate point across the union", {
+                    "first": seen[p],
+                    "second": (ci, pi),
+                    "point": [format_rational(c) for c in p],
+                }
+            seen[p] = (ci, pi)
+    return None
+
+
+def unreduced(value: Fraction, k: int) -> str:
+    """value written as "(k*num)/(k*den)": "2/4" for 1/2 and k = 2."""
+    return f"{value.numerator * k}/{value.denominator * k}"
+
+
+def duplicate_error(text):
+    """The duplicate ValidationError of loading `text`, as (message,
+    witness), or None when the load passes or fails otherwise."""
+    try:
+        load_configuration(text)
+    except ValidationError as exc:
+        if "duplicate" in str(exc):
+            return str(exc), exc.witness
+    return None
+
+
+def test_duplicate_written_differently_rejected():
+    text = json.dumps(
+        {"dimension": 2, "colors": [[["1/2", "3"]], [["5", "0"]], [["2/4", "6/2"]]]}
+    )
+    assert duplicate_error(text) == (
+        "duplicate point across the union",
+        {"first": (0, 0), "second": (2, 0), "point": ["1/2", "3"]},
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 4), plants=st.integers(0, 3), data=st.data())
+def test_duplicate_check_matches_fraction_keyed_oracle(n, plants, data):
+    # Repeats planted within and across classes, each point written
+    # unreduced by its own factor, so equal rationals differ as text.
+    pts = data.draw(st.lists(st.tuples(small, small), min_size=3 * n, max_size=3 * n))
+    for _ in range(plants):
+        i, j = data.draw(st.permutations(range(3 * n)))[:2]
+        pts[j] = pts[i]
+    texts = [
+        [unreduced(c, data.draw(st.integers(1, 3))) for c in p] for p in pts
+    ]
+    text = json.dumps(
+        {"dimension": 2, "colors": [texts[c * n : (c + 1) * n] for c in range(3)]}
+    )
+    colors = [pts[c * n : (c + 1) * n] for c in range(3)]
+    assert duplicate_error(text) == first_duplicate_oracle(colors)
 
 
 def test_float_coordinates_rejected():

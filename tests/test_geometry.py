@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -22,10 +23,12 @@ from rainbowdepth.geometry import (
     MAX_COORDINATE_BITS,
     affine_image,
     convex_hull_2d,
+    first_collinear_triple,
     format_rational,
     integer_scaled,
     orientation_form,
     orientation_value,
+    primitive_direction,
 )
 
 rationals = st.builds(
@@ -116,6 +119,37 @@ def test_planar_general_position_matches_orientation_oracle(pts):
         None,
     )
     assert general_position_check(pts, 2) == expected
+
+
+def first_collinear_triple_oracle(ipts):
+    """`first_collinear_triple` as it was written on `primitive_direction`,
+    one call per pair, kept as its oracle."""
+    m = len(ipts)
+    for i in range(m - 2):
+        xi, yi = ipts[i]
+        first = {}
+        best = None
+        for j in range(i + 1, m):
+            direction = primitive_direction(ipts[j][0] - xi, ipts[j][1] - yi)
+            if direction == (0, 0):
+                pair = (i + 1, i + 2) if j == i + 1 else (i + 1, j)
+                return (i,) + min(pair, best or pair)
+            earlier = first.setdefault(direction, j)
+            if earlier != j and (best is None or (earlier, j) < best):
+                best = (earlier, j)
+        if best is not None:
+            return (i,) + best
+    return None
+
+
+# A 5 x 5 grid: collinear triples and coincident points are common.
+grid_int = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(grid_int, max_size=14))
+def test_first_collinear_triple_matches_primitive_direction_oracle(ipts):
+    assert first_collinear_triple(ipts) == first_collinear_triple_oracle(ipts)
 
 
 def test_rational_parsing():
@@ -216,6 +250,18 @@ def test_integer_scaled_preserves_signs():
     assert scale > 0
     assert all(isinstance(c, int) for p in scaled for c in p)
     assert orientation([tuple(map(Fraction, p)) for p in scaled]) == orientation(pts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(points2, max_size=8))
+def test_integer_scaled_matches_fraction_products(pts):
+    # The oracle: the lcm folded by gcd, and int(c * scale) per coordinate.
+    scale = 1
+    for p in pts:
+        for c in p:
+            scale = scale * c.denominator // math.gcd(scale, c.denominator)
+    expected = [tuple(int(c * scale) for c in p) for p in pts]
+    assert integer_scaled(pts) == (expected, scale)
 
 
 def test_convex_hull_2d():

@@ -21,8 +21,13 @@ from rainbowdepth import (
     trim_to_separated,
     verify_certificate,
 )
-from rainbowdepth.geometry import is_unambiguous, point_in_simplex_interior
-from rainbowdepth.pipeline import load_report, report_o_and_q
+from rainbowdepth.depth import contained_triangles, deepest_point, rainbow_depth_at
+from rainbowdepth.geometry import (
+    is_unambiguous,
+    pair_sign_table,
+    point_in_simplex_interior,
+)
+from rainbowdepth.pipeline import check_report_numbers, load_report, report_o_and_q
 
 DATA = Path(__file__).parent / "data"
 
@@ -213,6 +218,112 @@ def test_verify_matches_simplex_oracle(seed, n, distribution, kind, data):
         assert expected == (0, 0, 0)
 
 
+DISTRIBUTIONS = ["uniform-box", "gaussian", "moment-curve-perturbed"]
+
+
+def sign_table(cfg, o_point):
+    return pair_sign_table(cfg.int_points, cfg.point_colors, *cfg.frame(o_point))
+
+
+def assert_recount_is(cfg, o_point, table, expected):
+    """check_report_numbers accepts exactly `expected` as O's depth."""
+    check_report_numbers(cfg, {"depth": expected}, o_point, cfg.colors, table)
+    with pytest.raises(InputError, match=f"expected {expected}$"):
+        check_report_numbers(cfg, {"depth": expected + 1}, o_point, cfg.colors, table)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 8),
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    kind=st.sampled_from(["deep", "random", "same-color-line"]),
+    data=st.data(),
+)
+def test_depth_recount_matches_contained_triangles(seed, n, distribution, kind, data):
+    # The oracle is the n^3 scan the recount read before the row counts.
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    weight = st.fractions(-1, 2, max_denominator=10**6)
+    if kind == "deep":
+        o_point = deepest_point(cfg, seed=seed).witness
+    elif kind == "same-color-line" and n > 1:
+        # on the line through two points of one color: a 0 in the table
+        u, v = data.draw(st.permutations(data.draw(st.sampled_from(cfg.colors))))[:2]
+        t = data.draw(weight)
+        o_point = tuple(a + t * (b - a) for a, b in zip(u, v))
+    else:
+        t, r = data.draw(weight), data.draw(weight)
+        u, v, w = (cls[0] for cls in cfg.colors)
+        o_point = tuple(a + t * (b - a) + r * (c - a) for a, b, c in zip(u, v, w))
+    table = sign_table(cfg, o_point)
+    if table is None:
+        return  # O is ambiguous: no depth to recount
+    expected = sum(1 for _ in contained_triangles(table, n))
+    assert rainbow_depth_at(cfg, o_point).count == expected
+    assert_recount_is(cfg, o_point, table, expected)
+
+
+def test_depth_recount_at_the_hexagon_center():
+    # Each class is an opposite pair through the center: every row has a
+    # 0 in its own class.
+    cfg = hexagon_config()
+    o_point = point(0, 0)
+    table = sign_table(cfg, o_point)
+    assert [table[c * 2][c * 2 + 1] for c in range(3)] == [0, 0, 0]
+    expected = sum(1 for _ in contained_triangles(table, cfg.n))
+    assert expected == 2
+    assert_recount_is(cfg, o_point, table, expected)
+
+
+def product_first_miss(table, indices):
+    """The planar containment loop as it was written: one test per tuple
+    of `itertools.product`, kept as the oracle of `verify_certificate`."""
+    for choice in itertools.product(*[range(len(idx)) for idx in indices]):
+        a, b, c = (idx[j] for idx, j in zip(indices, choice))
+        if not table[a][b] == table[b][c] == table[c][a]:
+            return choice
+    return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    n=st.integers(1, 7),
+    distribution=st.sampled_from(DISTRIBUTIONS),
+    kind=st.sampled_from(["subsets", "full-class", "swapped"]),
+    data=st.data(),
+)
+def test_verify_loop_matches_product_oracle(seed, n, distribution, kind, data):
+    cfg = generate(GeneratorSpec(seed=seed, n=n, d=2, distribution=distribution))
+    bundle = run_pipeline(cfg, PipelineParams(seed=seed))
+    o_point, q_sets = bundle.o_point, [list(q) for q in bundle.q_sets]
+    i = data.draw(st.integers(0, 2))
+    if kind == "subsets":
+        # random nonempty subsets of the classes, in random order
+        q_sets = [
+            data.draw(st.permutations(cls))[: data.draw(st.integers(1, n))]
+            for cls in cfg.colors
+        ]
+    elif kind == "full-class":
+        q_sets[i] = data.draw(st.permutations(cfg.colors[i]))
+    else:
+        outside = [p for p in cfg.colors[i] if p not in q_sets[i]]
+        if outside:
+            j = data.draw(st.integers(0, len(q_sets[i]) - 1))
+            q_sets[i][j] = data.draw(st.sampled_from(outside))
+    table = sign_table(cfg, o_point)
+    indices = [
+        [c * n + cfg.colors[c].index(p) for p in q] for c, q in enumerate(q_sets)
+    ]
+    expected = product_first_miss(table, indices)
+    counter = verify_certificate(cfg, o_point, q_sets)
+    if expected is None:
+        assert counter is None
+    else:
+        assert counter.index_tuple == expected
+        assert counter.vertices == tuple(q[j] for q, j in zip(q_sets, expected))
+
+
 FAR_DIRECTIONS = [
     (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, 1), (1, -1), (-1, -1),
     (2, 1), (-2, 1), (2, -1), (-2, -1), (1, 2), (-1, 2), (1, -2), (-1, -2),
@@ -269,6 +380,11 @@ def test_report_roundtrip_and_tamper_detection():
 def test_load_report_rejects_bad_schema():
     with pytest.raises(InputError):
         load_report(b'{"schema_version": 99}')
+    # equal to 1 in Python, but not the JSON integer 1
+    for version in (b"true", b"1.0"):
+        with pytest.raises(InputError, match="unsupported report schema_version"):
+            load_report(b'{"schema_version": ' + version + b"}")
+    assert load_report(b'{"schema_version": 1}') == {"schema_version": 1}
     with pytest.raises(InputError):
         load_report(b"not json")
     with pytest.raises(InputError):
