@@ -246,6 +246,9 @@ def _cmd_separate(args) -> int:
         sets = [[json_point(p) for p in pts] for pts in data["sets"]]
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad trim-state JSON: {exc}") from exc
+    for i, pts in enumerate(sets):
+        if len(set(pts)) != len(pts):
+            raise InputError(f"set {i} repeats a point")
     q_sets, trace = trim_to_separated(sets, o_point)
     _emit(
         {

@@ -1,11 +1,17 @@
 """Exact linear programming over rationals.
 
-A small dense one-phase simplex with Bland's rule: adequate for the
+A small one-phase simplex with Bland's rule: adequate for the
 separation and common-interior programs this package builds (a handful
 of free variables, tens of constraints), and fully exact -- every
 tableau entry is a Fraction, so "optimum > 0" is a certificate, not a
 numerical judgement.  Deterministic: Bland's rule breaks all ties by
 lowest index, so identical inputs pivot identically.
+
+Each pivot is sparse: it collects the pivot row's nonzero columns once,
+divides only those by the pivot, and updates every other row in place
+at those columns only.  That is exact, not an approximation: at a
+column where the pivot row holds 0 the dense update v - f*0 = v leaves
+the entry as it was, so every tableau value and pivot is the same.
 
 Contract: the origin is feasible, i.e. every right-hand side is >= 0.
 The slack basis is then a starting vertex and no phase 1 is needed;
@@ -79,12 +85,16 @@ def solve_lp_max(
                     leaving = i
         if leaving < 0:
             return LPResult(UNBOUNDED, None, None)
-        piv = tableau[leaving][entering]
-        pivot_row = tableau[leaving] = [v / piv for v in tableau[leaving]]
+        pivot_row = tableau[leaving]
+        piv = pivot_row[entering]
+        cols = [j for j, v in enumerate(pivot_row) if v]
+        for j in cols:
+            pivot_row[j] /= piv
         for i, row in enumerate(tableau):
             factor = row[entering]
-            if i != leaving and factor != 0:
-                tableau[i] = [v - factor * w for v, w in zip(row, pivot_row)]
+            if i != leaving and factor:
+                for j in cols:
+                    row[j] -= factor * pivot_row[j]
         basis[leaving] = entering
 
     values = [zero] * width

@@ -182,19 +182,21 @@ def verify_certificate(
         raise InputError(
             f"expected {cfg.num_colors} subsets, got {len(q_sets)}"
         )
+    # Points are keyed on their coordinates' (numerator, denominator)
+    # pairs, which hash as plain ints; the frame index of class i, point j
+    # is i * n + j, so index // n is the point's class.
+    index = {_point_key(p): k for k, p in enumerate(cfg.all_points())}
     indices = []  # per Q_i, the frame index of each of its points
     for i, q in enumerate(q_sets):
         if not q:
             raise InputError(f"Q_{i} is empty")
-        if len(set(q)) != len(q):
+        keys = [_point_key(p) for p in q]
+        if len(set(keys)) != len(keys):
             raise InputError(f"Q_{i} repeats a point")
-        members = {p: i * cfg.n + j for j, p in enumerate(cfg.colors[i])}
-        for p in q:
-            if p not in members:
-                raise InputError(
-                    f"Q_{i} contains a point outside color class {i}"
-                )
-        indices.append([members[p] for p in q])
+        found = [index.get(key, -1) for key in keys]
+        if any(k // cfg.n != i for k in found):
+            raise InputError(f"Q_{i} contains a point outside color class {i}")
+        indices.append(found)
     if len(o_point) != cfg.dimension:
         raise InputError(
             f"O has dimension {len(o_point)}, the configuration {cfg.dimension}"
@@ -234,6 +236,10 @@ def verify_certificate(
     if report is not None:
         check_report_numbers(cfg, report, o_point, q_sets, table)
     return None
+
+
+def _point_key(p: Point) -> tuple[tuple[int, int], ...]:
+    return tuple((c.numerator, c.denominator) for c in p)
 
 
 def _first_miss_plane(

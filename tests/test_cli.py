@@ -464,6 +464,22 @@ def test_separate_one_set_exit_2(tmp_path, capsys):
     }
 
 
+def test_separate_repeated_point_exit_2(tmp_path, capsys):
+    # no configuration repeats a point, and `verify` refuses a Q_i that
+    # does, so `separate` refuses such a set at the boundary
+    state = {
+        "o": ["3", "3"],
+        "sets": [[["0", "0"], ["0", "0"]], [["10", "0"]], [["0", "10"]]],
+    }
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    assert run_cli("separate", "--input", str(path)) == EXIT_INPUT
+    assert _one_json_error(capsys) == {
+        "error": "input",
+        "message": "set 0 repeats a point",
+    }
+
+
 def test_run_paper_epsilon(cfg_path, tmp_path):
     report = tmp_path / "report.json"
     assert (

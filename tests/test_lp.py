@@ -193,25 +193,42 @@ RHS = st.one_of(
     st.just(0), st.just(0), st.integers(0, 5),
     st.builds(Fraction, st.integers(0, 6), st.integers(1, 4)),
 )
+# Sparse LPs: coefficients and right-hand sides mostly 0, so pivot rows
+# hold zeros (the entries a sparse pivot skips) and the ratio test ties
+# (where Bland's leaving rule decides).
+NONZERO = COEFFS.filter(bool)
+SPARSE_COEFFS = st.one_of(st.just(0), st.just(0), st.just(0), COEFFS)
+SPARSE_RHS = st.one_of(st.just(0), st.just(0), st.just(0), RHS)
 
 
 @st.composite
 def feasible_origin_lps(draw):
     """(objective, a_ub, b_ub) with b_ub >= 0: 1-4 variables, 0-8 rows,
-    some rows repeated or positively scaled copies of earlier ones."""
+    some rows repeated or positively scaled copies of earlier ones.  Half
+    of them are sparse: mostly zero coefficients and right-hand sides,
+    and some rows with a single nonzero."""
     n = draw(st.integers(1, 4))
+    sparse = draw(st.booleans())
+    coeffs = SPARSE_COEFFS if sparse else COEFFS
+    rhs = SPARSE_RHS if sparse else RHS
     a: list[list] = []
     b: list = []
     for _ in range(draw(st.integers(0, 8))):
-        if a and draw(st.integers(0, 3)) == 0:
+        kind = draw(st.integers(0, 3))
+        if a and kind == 0:
             k = draw(st.integers(0, len(a) - 1))
             scale = draw(st.sampled_from([1, 1, 2, Fraction(1, 3)]))
             a.append([scale * v for v in a[k]])
             b.append(scale * b[k])
+        elif sparse and kind == 1:
+            row = [0] * n
+            row[draw(st.integers(0, n - 1))] = draw(NONZERO)
+            a.append(row)
+            b.append(draw(rhs))
         else:
-            a.append(draw(st.lists(COEFFS, min_size=n, max_size=n)))
-            b.append(draw(RHS))
-    objective = draw(st.lists(COEFFS, min_size=n, max_size=n))
+            a.append(draw(st.lists(coeffs, min_size=n, max_size=n)))
+            b.append(draw(rhs))
+    objective = draw(st.lists(coeffs, min_size=n, max_size=n))
     return objective, a, b
 
 
@@ -222,6 +239,17 @@ def feasible_origin_lps(draw):
 @example(([0, 1], [[1, 1], [-1, 1], [1, 1], [0, 1]], [0, 0, 0, 0]))
 @example(([1, 0], [], []))  # no rows: unbounded
 @example(([0, 0], [], []))  # zero objective: the origin is optimal
+# sparse: single-nonzero rows, zero rows and right-hand sides, ratio ties
+@example(([1, 1, 0], [[1, 0, 0], [0, 1, 0], [1, 1, 0], [0, 0, 1]], [1, 1, 1, 0]))
+@example(([1, 1], [[1, 0], [0, 1], [1, 1]], [2, 3, 4]))
+@example(([0, 1, 0], [[0, 0, 0], [0, 2, 0], [0, 1, 0], [1, 0, -1]], [0, 2, 1, 0]))
+@example(
+    (
+        [1, 0, 0, 1],
+        [[1, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 1], [0, 0, 3, 0]],
+        [Fraction(1, 2), 0, Fraction(1, 2), 0],
+    )
+)
 def test_one_phase_matches_two_phase(lp):
     assert solve_lp_max(*lp) == two_phase_solve_lp_max(*lp)
 

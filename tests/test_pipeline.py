@@ -140,6 +140,27 @@ def test_verify_certificate_validations():
         verify_certificate(cfg, point(1, 1), [[point(0, 0)] * 2, [point(4, 0)], [point(0, 4)]])
 
 
+def test_verify_certificate_membership_by_class():
+    # a point of the configuration in the wrong Q_i is outside that class;
+    # a repeat is reported before membership
+    cfg = hexagon_config()
+    other = cfg.colors[1][0]
+    with pytest.raises(InputError, match="Q_0 contains a point outside color class 0"):
+        verify_certificate(cfg, point(0, 0), [[other], cfg.colors[1], cfg.colors[2]])
+    with pytest.raises(InputError, match="Q_2 contains a point outside color class 2"):
+        verify_certificate(cfg, point(0, 0), [cfg.colors[0], cfg.colors[1], [other]])
+    with pytest.raises(InputError, match="Q_0 repeats a point"):
+        verify_certificate(
+            cfg, point(0, 0), [[other, other], cfg.colors[1], cfg.colors[2]]
+        )
+    # the same points written as strings and integers are members
+    written = [[tuple(str(c) for c in p) for p in q] for q in cfg.colors]
+    assert (
+        verify_certificate(cfg, point(0, 0), written)
+        == verify_certificate(cfg, point(0, 0), cfg.colors)
+    )
+
+
 def test_verified_bundles_pass_independent_oracle():
     for seed in (1, 2):
         cfg = generate(GeneratorSpec(seed=seed, n=6, d=2))
